@@ -5,6 +5,7 @@ module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Profile = Apiary_engine.Profile
 module Stats = Apiary_engine.Stats
+module Cluster = Apiary_cluster.Cluster
 
 let cycle_ns = 4.0 (* 250 MHz fabric *)
 
@@ -69,16 +70,55 @@ let domain_count () =
   | Some s -> (try max 1 (int_of_string s) with _ -> 1)
   | None -> max 1 (Domain.recommended_domain_count () - 1)
 
-(* APIARY_PAR selects the conservative parallel-in-time engine:
-   [boards] partitions E12 racks one-board-per-domain (lookahead = the
-   uplink's 126 cycles), [mesh] stripes E3's standalone meshes by
+(* APIARY_PAR selects how the conservative parallel-in-time engine
+   executes: [boards] runs every rack one-board-per-domain (lookahead =
+   the uplink's 126 cycles), [mesh] stripes E3's standalone meshes by
    columns (lookahead = the 1-cycle router link). Anything else — or
-   unset — runs the reference sequential engine. *)
+   unset — runs the same partitioned racks under the engine's Seq mode,
+   the reference schedule. *)
 let par_mode () =
   match Sys.getenv_opt "APIARY_PAR" with
   | Some "boards" -> `Boards
   | Some "mesh" -> `Mesh
   | _ -> `Off
+
+(* OS domains the process's parallel engines actually occupied (1 when
+   everything ran sequentially) — the honest context for speed-up
+   claims in BENCH_perf.json. *)
+let domains_used = ref 1
+
+let note_engine eng =
+  if Par_sim.mode eng = Par_sim.Par then
+    domains_used := max !domains_used (Par_sim.domains_used eng)
+
+(* Build a rack, let [body] populate it (returning the result
+   extractor), run for [duration], extract. Every rack is partitioned
+   one board per member behind the ToR switch's member 0; APIARY_PAR
+   picks only the execution mode, and Par is byte-identical to Seq.
+   APIARY_DOMAINS caps a Par run's domains below the member count; the
+   engine's busiest-first work stealing then keeps the smaller pool
+   fed. Unset, every member gets its own domain. *)
+let with_rack ~boards ~clients ~duration body =
+  let eng =
+    match par_mode () with
+    | `Boards ->
+      let domains =
+        match Sys.getenv_opt "APIARY_DOMAINS" with
+        | Some s -> ( try max 1 (int_of_string s) with _ -> boards + 1)
+        | None -> boards + 1
+      in
+      Cluster.make_engine ~mode:Par_sim.Par ~domains ~boards ()
+    | `Mesh | `Off -> Cluster.make_engine ~boards ()
+  in
+  note_engine eng;
+  let sim = Par_sim.sim eng 0 in
+  let cluster =
+    Cluster.create ~engine:eng sim ~boards ~client_ports:(clients + 1)
+  in
+  let finish = body sim cluster in
+  Par_sim.run_until eng duration;
+  Par_sim.shutdown eng;
+  finish ()
 
 let parallel_map f items =
   let items = Array.of_list items in
@@ -117,8 +157,7 @@ let perf_enabled = ref false
 
 (* Telemetry capture (--obs): E12 attaches the span recorder and the
    metrics registry and writes Chrome-trace/metrics JSON next to
-   BENCH_perf.json. Deterministic capture needs a monolithic engine, so
-   obs runs ignore APIARY_PAR=boards. *)
+   BENCH_perf.json; E13 adds critical-path attribution. *)
 let obs_enabled = ref false
 
 type perf_record = {
@@ -174,12 +213,12 @@ let timed id f () =
 let write_perf_json path =
   let oc = open_out path in
   let records = List.rev !perf_records in
-  (* Honest machine context for the run: how many cores the host
-     actually offers (speedup claims are meaningless without it) and
-     which parallel engine, if any, was selected. perf_guard keys on
-     per-experiment "id" lines and skips these. *)
+  (* Honest context for the run: how many domains its engines actually
+     occupied (speedup claims are meaningless without it) and which
+     engine mode was selected. perf_guard keys on per-experiment "id"
+     lines and skips these. *)
   Printf.fprintf oc "{\n  \"domains_used\": %d,\n  \"par_mode\": \"%s\",\n"
-    (Domain.recommended_domain_count ())
+    !domains_used
     (match par_mode () with
     | `Boards -> "boards"
     | `Mesh -> "mesh"

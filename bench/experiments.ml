@@ -445,6 +445,7 @@ let e3 () =
         Par_sim.create ~mode:Par_sim.Par ~sync:Par_sim.Neighbor ~lookahead:1
           ~n:(min 4 n) ()
       in
+      note_engine eng;
       let mesh : int Mesh.t = Mesh.create ~engine:eng (Par_sim.sim eng 0) cfg in
       let gens =
         List.init (Mesh.stripes mesh) (fun s ->

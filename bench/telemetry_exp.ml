@@ -24,8 +24,8 @@
    - e16e: the collected SLO feed driving the elastic scheduler's
      autoscaler vs the client-side hook it replaces.
 
-   Every table and artifact is byte-identical between the sequential
-   engine and APIARY_PAR=boards: agents run on board simulators, the
+   Every table and artifact is byte-identical between the engine's Seq
+   mode and APIARY_PAR=boards: agents run on board simulators, the
    collector wholly on the rack simulator, and only collector/agent
    state is printed (never the global span store, whose insertion
    order is engine-dependent). APIARY_E16_SMALL=1 shrinks durations
@@ -52,50 +52,6 @@ module Registry = Apiary_obs.Registry
 open Bench_util
 
 let small () = Sys.getenv_opt "APIARY_E16_SMALL" <> None
-
-(* Like Cluster_exp.with_rack, but does NOT force a monolithic engine
-   when --obs is set: E16 runs with spans enabled under
-   APIARY_PAR=boards by design, and keeps its output deterministic by
-   never exporting the global span store — only agent and collector
-   state, which lives on fixed simulators.
-
-   Both paths run the partitioned engine: Par_sim's Seq mode is the
-   reference schedule that Par is byte-identical to. A monolithic
-   Sim.create is NOT that reference — when a cross-partition frame and
-   a locally scheduled event land on the same cycle, the global queue
-   orders them by global insertion sequence, while the canonical
-   windowed schedule orders flushed posts after local events armed
-   earlier in the window. Board handlers are insensitive to that tie,
-   but the agent's harvest-at-tick is not: the tie decides whether a
-   delivery's counter bump lands in this batch or the next, and under
-   e16c's starved-queue drill the difference compounds through
-   drop-oldest into visibly different books. Running both sides on the
-   canonical schedule makes the byte-identity claim exact rather than
-   incidental. *)
-let with_rack ~boards ~clients ~duration body =
-  let mode, domains =
-    match par_mode () with
-    | `Boards ->
-      let domains =
-        match Sys.getenv_opt "APIARY_DOMAINS" with
-        | Some s -> ( try max 1 (int_of_string s) with _ -> boards + 1)
-        | None -> boards + 1
-      in
-      (Apiary_engine.Par_sim.Par, domains)
-    | `Mesh | `Off -> (Apiary_engine.Par_sim.Seq, 1)
-  in
-  let eng =
-    Apiary_engine.Par_sim.create ~mode ~adaptive:true ~domains
-      ~lookahead:Cluster.lookahead ~n:(boards + 1) ()
-  in
-  let sim = Apiary_engine.Par_sim.sim eng 0 in
-  let cluster =
-    Cluster.create ~engine:eng sim ~boards ~client_ports:(clients + 1)
-  in
-  let finish = body sim cluster in
-  Apiary_engine.Par_sim.run_until eng duration;
-  Apiary_engine.Par_sim.shutdown eng;
-  finish ()
 
 (* Spans on with E12's deterministic sampling (serve spans are corr-0,
    so the collector's outcome feed is never thinned), registry fresh. *)

@@ -520,12 +520,14 @@ module Placer = Apiary_sched.Placer
    --kill, a board serving web is downed mid-run and the watchdog alarm
    path re-places its tenants. The run is deterministic. The same demo
    backs `apiary slo`, which reports the tenants' error budgets and
-   burn-rate alerts instead of the placement table. *)
+   burn-rate alerts instead of the placement table. The rack runs on
+   the partitioned engine's Seq mode, the reference schedule. *)
 
 let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
   begin
-    let sim = Sim.create () in
-    let cluster = Cluster.create sim ~boards ~client_ports:5 in
+    let eng = Cluster.make_engine ~boards () in
+    let sim = Apiary_engine.Par_sim.sim eng 0 in
+    let cluster = Cluster.create ~engine:eng sim ~boards ~client_ports:5 in
     let noc = { Area.vcs = 2; depth = 4; flit_bits = 32 } in
     let slot_of part =
       match Floorplan.plan ~part ~tiles:16 ~noc ~cap_entries:16 with
@@ -619,7 +621,7 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
                 b;
             Cluster.kill cluster ~board:b
           | [] -> ());
-    Sim.run_for sim cycles;
+    Apiary_engine.Par_sim.run_for eng cycles;
     List.iter (fun (_, c) -> Shard_client.stop c) clients;
     (sched, clients, health, !victim)
   end

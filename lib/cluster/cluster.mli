@@ -27,12 +27,20 @@ val lookahead : int
     125 of propagation + ≥1 of serialization) — the widest window a
     board-per-partition engine for this rack may use. *)
 
+val make_engine :
+  ?mode:Apiary_engine.Par_sim.mode -> ?domains:int -> boards:int -> unit ->
+  Apiary_engine.Par_sim.t
+(** An engine shaped for a [boards]-board rack: [boards + 1] members and
+    adaptive barrier windows of at most {!lookahead}. [mode] defaults to
+    [Seq], the reference schedule; [domains] caps a [Par] run's domains
+    (see {!Apiary_engine.Par_sim.create}). *)
+
 val create :
   ?kernel_cfg:Apiary_core.Kernel.config ->
   ?client_ports:int ->
   ?switch_latency:int ->
   ?fdb_capacity:int ->
-  ?engine:Apiary_engine.Par_sim.t ->
+  engine:Apiary_engine.Par_sim.t ->
   Sim.t ->
   boards:int ->
   t
@@ -40,22 +48,22 @@ val create :
     (default 8) are reserved for {!add_client}. [switch_latency]
     defaults to 250 cycles (1 µs ToR at 250 MHz).
 
-    With [engine] (which must have exactly [boards + 1] domains and a
-    lookahead of at most {!lookahead}), the rack is partitioned: member
-    0 owns the ToR switch, external clients and all rack-shared state;
-    member [id + 1] owns board [id]'s fabric; board uplinks become
-    {!Apiary_net.Link.create_split} partition boundaries. [sim] is
-    ignored in that case. Run the rack through {!Apiary_engine.Par_sim}
-    — results are byte-identical between its [Seq] and [Par] modes.
+    The rack is partitioned over [engine], which must have exactly
+    [boards + 1] members and a lookahead of at most {!lookahead} (see
+    {!make_engine}); [sim] must be its member 0 ([Par_sim.sim engine 0]),
+    or [Invalid_argument] is raised. Member 0 owns the ToR switch,
+    external clients and all rack-shared state; member [id + 1] owns
+    board [id]'s fabric; board uplinks are
+    {!Apiary_net.Link.create_split} partition boundaries. Run the rack
+    through {!Apiary_engine.Par_sim}: [Seq] is the reference schedule
+    and [Par] is byte-identical to it.
 
     The {!directory} is replicated per partition (a replica on member 0
     for the controller and clients, one on member [id + 1] for board
     [id]), with registry mutations announced through the same
     boundary-merge protocol as uplink frames — so {!connect}/{!call}
-    work from board shells and external clients alike, partitioned or
-    not, with byte-identical results. Directory mutations take one
-    uplink ({!lookahead} cycles) to become visible in {e every} mode,
-    monolithic included. *)
+    work from board shells and external clients alike. Directory
+    mutations take one uplink ({!lookahead} cycles) to become visible. *)
 
 val sim : t -> Sim.t
 val switch : t -> Switch.t
@@ -108,9 +116,7 @@ val post_to_board : t -> board:int -> delay:int -> (unit -> unit) -> unit
     controller's now — the rack controller's command channel (e.g. a
     scheduler ordering an install or reconfiguration). [delay] must be
     at least {!lookahead}: commands ride the same staging protocol as
-    uplink frames, and the same delay applies in a monolithic rack, so
-    partitioned runs stay byte-identical. Call only from controller
-    (member 0) execution. *)
+    uplink frames. Call only from controller (member 0) execution. *)
 
 (** {1 External clients} *)
 

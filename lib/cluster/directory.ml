@@ -9,10 +9,10 @@
    [(apply_time, source partition, per-source seq)]; every replica —
    including the announcer's own — applies them in that canonical order
    once [apply_time] has passed, so all replicas evolve through the same
-   registry states and a monolithic run is byte-identical to a
-   partitioned one. Cross-partition delivery rides the engine's
-   boundary-merge protocol (Par_sim.post); [announce_delay] is the wire
-   latency and must be at least the engine lookahead.
+   registry states whatever the engine's execution mode. Cross-partition
+   delivery rides the engine's boundary-merge protocol (Par_sim.post);
+   [announce_delay] is the wire latency and must be at least the engine
+   lookahead.
 
    Route caches (the per-(from_board, service) resolution decisions) are
    replica-local and written only by the owning partition — the write
@@ -69,10 +69,10 @@ type rep = {
 }
 
 type t = {
-  reps : rep array;  (* length 1 = monolithic *)
+  reps : rep array;  (* one per engine partition *)
   home : int -> int;  (* board -> replica index *)
   delay : int;
-  post : (src:int -> dst:int -> time:int -> (unit -> unit) -> unit) option;
+  post : src:int -> dst:int -> time:int -> (unit -> unit) -> unit;
   ann_seq : int array;  (* per source partition *)
 }
 
@@ -100,18 +100,7 @@ let mk_rep part rsim =
     invalidations = 0;
   }
 
-let create ?(announce_delay = 0) sim =
-  if announce_delay < 0 then
-    invalid_arg "Directory.create: announce_delay must be >= 0";
-  {
-    reps = [| mk_rep 0 sim |];
-    home = (fun _ -> 0);
-    delay = announce_delay;
-    post = None;
-    ann_seq = [| 0 |];
-  }
-
-let create_replicated ~announce_delay ~sims ~home ~post () =
+let create_replicated ~announce_delay ~sims ~home ~post =
   if announce_delay < 1 then
     invalid_arg "Directory.create_replicated: announce_delay must be >= 1";
   if Array.length sims < 1 then
@@ -120,12 +109,11 @@ let create_replicated ~announce_delay ~sims ~home ~post () =
     reps = Array.mapi mk_rep sims;
     home;
     delay = announce_delay;
-    post = Some post;
+    post;
     ann_seq = Array.make (Array.length sims) 0;
   }
 
-let rep_for t from_board =
-  if Array.length t.reps = 1 then t.reps.(0) else t.reps.(t.home from_board)
+let rep_for t from_board = t.reps.(t.home from_board)
 
 (* ------------------------------------------------------------------ *)
 (* Announcement protocol *)
@@ -185,16 +173,13 @@ let apply rep = function
 
 (* An announcement made at cycle [c] becomes visible to reads strictly
    after [c + delay] — one delay for the wire, visible the next cycle —
-   in every replica and every engine mode alike. A zero-delay
-   (standalone, monolithic) directory is synchronous: visible at [c]. *)
-let visible t a now = a.a_time < now || (t.delay = 0 && a.a_time = now)
-
-let drain t rep =
+   in every replica and every engine mode alike. *)
+let drain rep =
   match rep.inbox with
   | [] -> ()
   | _ -> (
     let now = Sim.now rep.rsim in
-    let ready, later = List.partition (fun a -> visible t a now) rep.inbox in
+    let ready, later = List.partition (fun a -> a.a_time < now) rep.inbox in
     match ready with
     | [] -> ()
     | ready ->
@@ -215,10 +200,7 @@ let announce t ~src u =
     (fun d rep ->
       if d = src then rep.inbox <- a :: rep.inbox
       else
-        match t.post with
-        | Some post ->
-          post ~src ~dst:d ~time:a.a_time (fun () -> rep.inbox <- a :: rep.inbox)
-        | None -> assert false)
+        t.post ~src ~dst:d ~time:a.a_time (fun () -> rep.inbox <- a :: rep.inbox))
     t.reps
 
 (* ------------------------------------------------------------------ *)
@@ -233,11 +215,7 @@ let unregister t ~service ~board =
   announce t ~src:0 (U_unregister_service { service; board })
 
 let report_failure t ?from_board ~board () =
-  let src =
-    match from_board with
-    | None -> 0
-    | Some b -> if Array.length t.reps = 1 then 0 else t.home b
-  in
+  let src = match from_board with None -> 0 | Some b -> t.home b in
   announce t ~src (U_unregister { board })
 
 (* ------------------------------------------------------------------ *)
@@ -265,7 +243,7 @@ let slot_for rep ~from_board ~service =
 let resolve t ~from_board ~service =
   let rep = rep_for t from_board in
   owner_check rep;
-  drain t rep;
+  drain rep;
   rep.lookups <- rep.lookups + 1;
   let slot = slot_for rep ~from_board ~service in
   if slot.epoch = rep.reg_epoch then begin
@@ -306,7 +284,7 @@ let resolve t ~from_board ~service =
 let invalidate t ~from_board ~service =
   let rep = rep_for t from_board in
   owner_check rep;
-  drain t rep;
+  drain rep;
   match Hashtbl.find_opt rep.sids service with
   | None -> ()
   | Some sid -> (
@@ -324,16 +302,16 @@ let invalidate t ~from_board ~service =
 
 let replicas t service =
   let rep = t.reps.(0) in
-  drain t rep;
+  drain rep;
   registered rep service
 
 let services t =
   let rep = t.reps.(0) in
-  drain t rep;
+  drain rep;
   Hashtbl.fold (fun s _ acc -> s :: acc) rep.registry [] |> List.sort compare
 
-(* Counters are summed across replicas; per-replica slices partition the
-   monolithic totals, so the sums are engine-mode-independent. *)
+(* Counters are summed across replicas; each replica counts only its
+   own partition's lookups, so the sums are engine-mode-independent. *)
 let sum_reps t f = Array.fold_left (fun acc rep -> acc + f rep) 0 t.reps
 let lookups t = sum_reps t (fun r -> r.lookups)
 let cache_hits t = sum_reps t (fun r -> r.cache_hits)

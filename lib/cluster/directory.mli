@@ -15,13 +15,12 @@
     tagged [(apply_time, source partition, per-source sequence)] and
     applied at {e every} replica — including the announcer's own — in
     that canonical order once [apply_time] is reached, so all replicas
-    step through the same registry states and partitioned runs are
-    byte-identical to monolithic ones. A mutation announced at cycle
-    [c] becomes visible to reads strictly after [c + announce_delay]
-    (synchronously at [c] when [announce_delay = 0], the standalone
-    default). Cross-partition delivery uses the posting hook supplied
-    to {!create_replicated} — in a {!Cluster} rack, the parallel
-    engine's boundary-merge protocol.
+    step through the same registry states whatever the engine's
+    execution mode. A mutation announced at cycle [c] becomes visible
+    to reads strictly after [c + announce_delay]. Cross-partition
+    delivery uses the posting hook supplied to {!create_replicated} —
+    in a {!Cluster} rack, the parallel engine's boundary-merge
+    protocol.
 
     Resolution results are cached per [(from_board, service)] in the
     asking board's replica; a failed remote call must {!invalidate} its
@@ -38,17 +37,11 @@ type resolution =
 
 type t
 
-val create : ?announce_delay:int -> Apiary_engine.Sim.t -> t
-(** Single-replica directory on [sim]'s clock. [announce_delay]
-    (default 0) cycles pass between a mutation and its visibility to
-    reads; 0 means synchronous. *)
-
 val create_replicated :
   announce_delay:int ->
   sims:Apiary_engine.Sim.t array ->
   home:(int -> int) ->
   post:(src:int -> dst:int -> time:int -> (unit -> unit) -> unit) ->
-  unit ->
   t
 (** One replica per element of [sims] (replica [p] lives on partition
     [p]'s simulator). [home board] is the replica index serving that
@@ -93,8 +86,8 @@ val services : t -> string list
 
 (** {2 Counters}
 
-    Summed across replicas; the per-replica slices partition the
-    monolithic totals, so the sums are engine-mode-independent. *)
+    Summed across replicas; each replica counts only its own
+    partition's lookups, so the sums are engine-mode-independent. *)
 
 val lookups : t -> int
 val cache_hits : t -> int

@@ -266,11 +266,15 @@ let instant ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts () =
     Mutex.unlock lock
   end
 
+(* Grouped by board, in recording order within each board. A board
+   records only from its own partition, so this order is the same under
+   every engine mode; the global interleaving of boards is not. *)
 let events () =
   Mutex.lock lock;
-  let out = List.init !n (fun i -> { !store.(i) with seq = i }) in
+  let evs = Array.sub !store 0 !n in
   Mutex.unlock lock;
-  out
+  Array.stable_sort (fun a b -> Int.compare a.board b.board) evs;
+  List.init (Array.length evs) (fun i -> { evs.(i) with seq = i })
 
 let count () =
   Mutex.lock lock;

@@ -16,9 +16,10 @@
 
     Timestamps are simulation cycles — never wall clock — so a capture
     from a fixed-seed run is deterministic and its export byte-stable.
-    Recording is mutex-protected for safety if a parallel engine is left
-    running with spans enabled, but deterministic capture requires a
-    monolithic (single-domain) simulation.
+    Recording is mutex-protected, so a partitioned engine may run in
+    [Par] mode with spans enabled: {!events} orders the capture by board
+    and then by recording order within the board, which no interleaving
+    of the engine's domains can change.
 
     {b Sampling} ({!set_sampling}) keeps full-scale captures inside the
     buffer cap without losing determinism: correlation families are
@@ -38,7 +39,9 @@ type ph =
   | Mark  (** a point event *)
 
 type event = {
-  seq : int;  (** recording order; export tie-breaker at equal [ts] *)
+  seq : int;
+      (** position in {!events}: by board, then recording order within
+          the board — the export's tie-breaker at equal [ts] *)
   name : string;
   cat : string;  (** layer: ["monitor"], ["noc"], ["net"], ["cluster"] *)
   corr : int;  (** board-local RPC correlation id; [0] = uncorrelated *)
@@ -104,7 +107,10 @@ val instant :
 (** Record a point event (admit, deny, fault, frame tx/rx). *)
 
 val events : unit -> event list
-(** All retained events in recording order. *)
+(** All retained events, grouped by board (ascending; rack-level [-1]
+    first) and in recording order within each board, numbered by
+    [seq]. A board records only from its own partition, so the list is
+    identical under [Seq] and [Par] engines. *)
 
 val count : unit -> int
 (** Events retained (i.e. not dropped by the capacity cap). *)

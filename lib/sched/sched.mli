@@ -16,8 +16,8 @@
     router-congestion alarms into alarm frames. Commands flow {e down}
     through {!Apiary_cluster.Cluster.post_to_board} with at least one
     uplink of latency — the same staging protocol as frames and
-    directory announcements — so partitioned runs are byte-identical to
-    monolithic ones. A killed board's beacons die at its downed switch
+    directory announcements — so [Par] runs are byte-identical to the
+    [Seq] reference. A killed board's beacons die at its downed switch
     port; staleness is exactly what the controller should see.
 
     {2 Decisions}

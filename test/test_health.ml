@@ -6,8 +6,8 @@
      that the simulator fast-forwards past must NEVER trip the
      heartbeat deadline (only queued-work-without-progress does);
    - counters are architecture, not heuristics: for a fixed seed the
-     per-tile blocks must be byte-identical between the monolithic and
-     the partitioned (Seq/Par) engines, with the watchdog running. *)
+     per-tile blocks must be byte-identical between the partitioned
+     engine's Seq and Par modes, with the watchdog running. *)
 
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim

@@ -6,6 +6,7 @@
    exported byte-stably. *)
 
 module Sim = Apiary_engine.Sim
+module Par_sim = Apiary_engine.Par_sim
 module Stats = Apiary_engine.Stats
 module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
@@ -241,8 +242,9 @@ let test_export_metrics_json () =
 let run_call_capture () =
   Span.reset ();
   Span.set_enabled true;
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 ~client_ports:1 in
+  let eng = Cluster.make_engine ~boards:2 () in
+  let sim = Par_sim.sim eng 0 in
+  let cluster = Cluster.create ~engine:eng sim ~boards:2 ~client_ports:1 in
   ignore
     (Cluster.install cluster ~board:0 ~service:"kv" (fst (Kv.behavior ())));
   let ok = ref false in
@@ -258,7 +260,7 @@ let run_call_capture () =
                     (fun r -> ok := Result.is_ok r))))
   in
   ignore (Cluster.install cluster ~board:1 caller);
-  Sim.run_for sim 60_000;
+  Par_sim.run_for eng 60_000;
   Span.set_enabled false;
   let evs = Span.events () in
   Span.reset ();
@@ -562,8 +564,9 @@ let test_slo_min_samples_guard () =
 (* Critical path on a sampled capture *)
 
 let run_kv_calls_capture ~n =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 ~client_ports:1 in
+  let eng = Cluster.make_engine ~boards:2 () in
+  let sim = Par_sim.sim eng 0 in
+  let cluster = Cluster.create ~engine:eng sim ~boards:2 ~client_ports:1 in
   ignore
     (Cluster.install cluster ~board:0 ~service:"kv" (fst (Kv.behavior ())));
   let done_ = ref 0 in
@@ -588,7 +591,7 @@ let run_kv_calls_capture ~n =
                   go 0)))
   in
   ignore (Cluster.install cluster ~board:1 caller);
-  Sim.run_for sim 400_000;
+  Par_sim.run_for eng 400_000;
   (!done_, Span.events ())
 
 (* Corr-keyed head sampling keeps or drops whole request families, so

@@ -8,8 +8,8 @@
    - Mesh: a striped mesh (monolithic vs Seq vs Par) delivers the exact
      same packets with the exact same latencies and router activity.
    - Rack (E12-small shape): a 2-board cluster under a client-driven
-     sharded workload produces identical traces and client stats in Seq
-     and Par modes. *)
+     sharded workload produces identical traces, client stats and span
+     exports in Seq and Par modes. *)
 
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
@@ -22,6 +22,8 @@ module Coord = Apiary_noc.Coord
 module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Shard_client = Apiary_cluster.Shard_client
+module Span = Apiary_obs.Span
+module Export = Apiary_obs.Export
 
 (* ------------------------------------------------------------------ *)
 (* Par_sim unit *)
@@ -157,10 +159,7 @@ let event_to_string e =
 
 let run_rack ?domains mode cycles =
   let boards = 2 in
-  let eng =
-    Par_sim.create ~mode ~adaptive:true ?domains ~lookahead:Cluster.lookahead
-      ~n:(boards + 1) ()
-  in
+  let eng = Cluster.make_engine ~mode ?domains ~boards () in
   let cluster =
     Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:2
   in
@@ -212,6 +211,32 @@ let test_rack_work_stealing_matches () =
   Alcotest.(check string) "stats identical under stealing" stats_seq stats_steal;
   Alcotest.(check (list string)) "traces identical under stealing" trace_seq
     trace_steal
+
+(* Spans recorded by several domains at once: boards hit the same cycle
+   all the time, and the exported trace must not depend on which domain
+   got to the recorder first. *)
+let rack_span_export ?domains mode =
+  Span.reset ();
+  Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Span.set_enabled false;
+      Span.reset ())
+    (fun () ->
+      ignore (run_rack ?domains mode 60_000);
+      Export.chrome_trace_string (Span.events ()))
+
+let test_rack_span_export_matches () =
+  let seq = rack_span_export Par_sim.Seq in
+  Alcotest.(check bool) "spans were recorded" true
+    (String.length seq > 10_000);
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "Par (%d domains) export == Seq" domains)
+        seq
+        (rack_span_export ~domains Par_sim.Par))
+    [ 2; 3 ]
 
 let test_domains_clamped_and_reported () =
   let eng = Par_sim.create ~domains:99 ~lookahead:2 ~n:3 () in
@@ -341,6 +366,8 @@ let () =
             test_rack_par_matches_seq;
           Alcotest.test_case "work stealing == Seq" `Quick
             test_rack_work_stealing_matches;
+          Alcotest.test_case "span export Par == Seq" `Quick
+            test_rack_span_export_matches;
         ] );
       ( "domains",
         [
