@@ -171,6 +171,7 @@ type perf_record = {
   pr_windows : int;  (* adaptive sync windows executed during the run *)
   pr_win_min : int;  (* narrowest/widest window width so far, process-wide *)
   pr_win_max : int;
+  pr_alloc_words : float;  (* words allocated while it ran *)
 }
 
 let perf_records : perf_record list ref = ref []
@@ -186,9 +187,15 @@ let timed id f () =
     let skipped_t0 = Sim.total_skipped_ticks () in
     let stall0 = Par_sim.total_barrier_stall_s () in
     let windows0, _, _ = Par_sim.total_window_stats () in
+    let gc0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     f ();
     let dt = Unix.gettimeofday () -. t0 in
+    let gc1 = Gc.quick_stat () in
+    (* Minor plus direct-major allocation: promotion moves words between
+       the two counters, so it is taken out once. Joined domains' counts
+       fold in, so the total does not depend on who ran a sweep point. *)
+    let words (g : Gc.stat) = g.minor_words +. g.major_words -. g.promoted_words in
     (* Window count is differenced per experiment; the min/max widths
        are process-wide high/low watermarks (windows from earlier
        experiments included), which is all the atomic accounting can
@@ -206,6 +213,7 @@ let timed id f () =
         pr_windows = windows1 - windows0;
         pr_win_min = win_min;
         pr_win_max = win_max;
+        pr_alloc_words = words gc1 -. words gc0;
       }
       :: !perf_records
   end
@@ -216,22 +224,26 @@ let write_perf_json path =
   (* Honest context for the run: how many domains its engines actually
      occupied (speedup claims are meaningless without it) and which
      engine mode was selected. perf_guard keys on per-experiment "id"
-     lines and skips these. *)
-  Printf.fprintf oc "{\n  \"domains_used\": %d,\n  \"par_mode\": \"%s\",\n"
+     lines and skips these. The major-heap high-water mark is one
+     process-wide figure, so it is written once here, not per row. *)
+  Printf.fprintf oc
+    "{\n  \"domains_used\": %d,\n  \"par_mode\": \"%s\",\n  \"top_heap_mb\": %.1f,\n"
     !domains_used
     (match par_mode () with
     | `Boards -> "boards"
     | `Mesh -> "mesh"
-    | `Off -> "off");
+    | `Off -> "off")
+    (float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8))
+     /. 1048576.0);
   output_string oc "  \"experiments\": [\n";
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "    {\"id\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d%s}%s\n"
+        "    {\"id\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d, \"alloc_words\": %.0f%s}%s\n"
         r.pr_id r.pr_wall_s r.pr_cycles
         (if r.pr_wall_s > 0.0 then float_of_int r.pr_cycles /. r.pr_wall_s
          else 0.0)
-        r.pr_skipped r.pr_active_ticks r.pr_skipped_ticks
+        r.pr_skipped r.pr_active_ticks r.pr_skipped_ticks r.pr_alloc_words
         ((if r.pr_stall_s > 0.0 then
             Printf.sprintf ", \"barrier_stall_s\": %.3f" r.pr_stall_s
           else "")

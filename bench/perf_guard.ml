@@ -6,18 +6,23 @@
    [cycles_per_s] below [0.7 * APIARY_PERF_FACTOR] of its baseline.
    APIARY_PERF_FACTOR (default 1.0) discounts the baseline for slower
    machines — CI runners set it well below 1 so only real regressions,
-   not hardware variance, trip the guard. Entries with [sim_cycles = 0]
-   are skipped (sub-second experiments whose rate is pure noise), as are
-   experiments present in only one file.
+   not hardware variance, trip the guard. Experiments present in only
+   one file are skipped. Rows present in both must have simulated the
+   same [sim_cycles]: a mismatch means the two runs were different
+   workloads (another size or flag set), and comparing their rates
+   would be meaningless, so it fails rather than skips. Rows with
+   [sim_cycles = 0] on both sides (sub-second experiments whose rate is
+   pure noise) are skipped.
 
-   A second, machine-independent check guards the activity-set
-   scheduler: [active_ticks] (ticker invocations actually executed) is a
-   deterministic function of the workload, so when baseline and current
-   ran the same [sim_cycles] the current count may not exceed the
-   baseline by more than 10% + 1000 calls. A regression here means
-   tickers stopped parking (idle-skipping broke) even if the wall-clock
-   guard still passes on a fast runner. Skipped when either side lacks
-   the field (old baselines) or the cycle counts differ (resized runs).
+   Two machine-independent checks follow, both deterministic functions
+   of the workload. [active_ticks] (ticker invocations actually
+   executed) may not exceed the baseline by more than 10% + 1000
+   calls: a regression there means tickers stopped parking even if the
+   wall-clock guard still passes on a fast runner. [alloc_words] (words
+   the experiment allocated) may not exceed the baseline by more than
+   10% when both files ran on one domain ([domains_used = 1]; a Par run
+   allocates per-window sync state that depends on the domain count).
+   Each is skipped when either side lacks the field (old baselines).
 
    The parser handles exactly the format bench_util.write_perf_json
    emits — one record per line — not general JSON; both inputs come
@@ -28,6 +33,7 @@ type rec_t = {
   sim_cycles : int;
   cycles_per_s : float;
   active_ticks : int option;
+  alloc_words : float option;
 }
 
 let field_str line key =
@@ -68,14 +74,18 @@ let field_num line key =
   in
   find 0
 
+(* [(domains_used, rows)]: the file-level domain count (absent in old
+   baselines) and one record per experiment line. *)
 let parse path =
   let ic = open_in path in
-  let out = ref [] in
+  let domains = ref None and out = ref [] in
   (try
      while true do
        let line = input_line ic in
        match field_str line "id" with
-       | None -> ()
+       | None ->
+         if !domains = None then
+           domains := Option.map int_of_float (field_num line "domains_used")
        | Some id ->
          let sim_cycles =
            int_of_float (Option.value ~default:0.0 (field_num line "sim_cycles"))
@@ -86,11 +96,12 @@ let parse path =
          let active_ticks =
            Option.map int_of_float (field_num line "active_ticks")
          in
-         out := { id; sim_cycles; cycles_per_s; active_ticks } :: !out
+         let alloc_words = field_num line "alloc_words" in
+         out := { id; sim_cycles; cycles_per_s; active_ticks; alloc_words } :: !out
      done
    with End_of_file -> ());
   close_in ic;
-  List.rev !out
+  (!domains, List.rev !out)
 
 let () =
   let baseline_path, current_path =
@@ -106,19 +117,22 @@ let () =
     | None -> 1.0
   in
   let threshold = 0.7 *. factor in
-  let baseline = parse baseline_path in
-  let current = parse current_path in
+  let b_domains, baseline = parse baseline_path in
+  let c_domains, current = parse current_path in
+  let one_domain = b_domains = Some 1 && c_domains = Some 1 in
   let failures = ref 0 in
   List.iter
     (fun b ->
       match List.find_opt (fun c -> c.id = b.id) current with
       | None -> Printf.printf "perf-guard: %-6s not in current run, skipped\n" b.id
+      | Some c when c.sim_cycles <> b.sim_cycles ->
+        Printf.printf
+          "perf-guard: %-6s SIZE MISMATCH  baseline %d sim cycles, current %d: \
+           not the same workload (re-record the baseline at this size)\n"
+          b.id b.sim_cycles c.sim_cycles;
+        incr failures
       | Some _ when b.sim_cycles = 0 ->
-        Printf.printf "perf-guard: %-6s baseline has no simulated cycles, skipped\n"
-          b.id
-      | Some c when c.sim_cycles = 0 ->
-        Printf.printf "perf-guard: %-6s current run has no simulated cycles, skipped\n"
-          b.id
+        Printf.printf "perf-guard: %-6s no simulated cycles, skipped\n" b.id
       | Some c ->
         let floor = threshold *. b.cycles_per_s in
         let verdict = if c.cycles_per_s >= floor then "ok" else "REGRESSION" in
@@ -129,7 +143,7 @@ let () =
         (* Deterministic activity guard: same simulated span must not
            execute meaningfully more ticker calls than the baseline. *)
         (match (b.active_ticks, c.active_ticks) with
-        | Some ba, Some ca when b.sim_cycles = c.sim_cycles ->
+        | Some ba, Some ca ->
           let cap = ba + (ba / 10) + 1000 in
           if ca > cap then begin
             Printf.printf
@@ -143,10 +157,22 @@ let () =
               "perf-guard: %-6s activity ok  baseline %d active ticks, current \
                %d (cap %d)\n"
               b.id ba ca cap
+        | _ -> ());
+        (* Deterministic allocation guard, single-domain runs only. *)
+        (match (b.alloc_words, c.alloc_words) with
+        | Some ba, Some ca when one_domain ->
+          let cap = ba *. 1.1 in
+          let verdict = if ca > cap then "ALLOC REGRESSION" else "alloc ok" in
+          Printf.printf
+            "perf-guard: %-6s %s  baseline %.0f words, current %.0f (cap %.0f)\n"
+            b.id verdict ba ca cap;
+          if ca > cap then incr failures
         | _ -> ()))
     baseline;
   if !failures > 0 then begin
-    Printf.printf "perf-guard: %d experiment(s) regressed >%.0f%% below baseline\n"
+    Printf.printf
+      "perf-guard: %d check(s) failed (rate floor %.0f%% below baseline, or a \
+       size, activity or allocation check)\n"
       !failures
       ((1.0 -. threshold) *. 100.0);
     exit 1

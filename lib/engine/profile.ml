@@ -5,7 +5,8 @@ type row = {
   mutable seconds : float;
 }
 
-let on = lazy (Sys.getenv_opt "APIARY_PROF" <> None)
+let enabled_of_env v = Option.map String.trim v = Some "1"
+let on = lazy (enabled_of_env (Sys.getenv_opt "APIARY_PROF"))
 let enabled () = Lazy.force on
 
 (* The registry only grows under the lock; row fields are written by the

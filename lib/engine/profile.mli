@@ -1,15 +1,15 @@
 (** Opt-in hot-path profiling for the simulation engine.
 
-    When [APIARY_PROF] is set in the environment, {!Sim.add_clocked}
+    When [APIARY_PROF=1] is in the environment, {!Sim.add_clocked}
     counts and wall-times every tick, attributed to the component's
     registered name, and tracks how many eligible cycles the
     activity-set scheduler let the component *skip* entirely. The bench
     harness ([--perf]) prints the aggregate so perf work can see
     {e where} cycles go, not just how many were simulated.
 
-    When [APIARY_PROF] is unset, registration returns inert rows and
-    the tick path is untouched — profiling costs nothing unless asked
-    for.
+    Otherwise (unset, empty, [0] or any other value), registration
+    returns inert rows and the tick path is untouched — profiling
+    costs nothing unless asked for.
 
     Rows are written lock-free by whichever domain is ticking the
     owning simulator (a simulator is ticked by exactly one domain at a
@@ -24,8 +24,12 @@ type row = {
   mutable seconds : float;  (** cumulative wall time inside the ticker *)
 }
 
+val enabled_of_env : string option -> bool
+(** The [APIARY_PROF] parse: true only for ["1"] (surrounding blanks
+    ignored); unset, empty, ["0"] and anything else mean off. *)
+
 val enabled : unit -> bool
-(** True iff [APIARY_PROF] is set (read once, at first use). *)
+(** [enabled_of_env] of [APIARY_PROF], read once, at first use. *)
 
 val register : string -> row
 (** Allocate a row under [name] and enlist it in the global registry.

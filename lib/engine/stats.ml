@@ -41,9 +41,12 @@ module Histogram = struct
   let sub = 32
   let nbuckets = 64 * sub
 
+  (* The grid has [nbuckets] slots, but [buckets] only holds a prefix of
+     it: empty at creation, grown to the highest bucket recorded or
+     merged. A slot past the end counts 0. *)
   type t = {
     name : string;
-    buckets : int array;
+    mutable buckets : int array;
     mutable count : int;
     mutable sum : int;
     mutable sumsq : float;
@@ -54,7 +57,7 @@ module Histogram = struct
   let create name =
     {
       name;
-      buckets = Array.make nbuckets 0;
+      buckets = [||];
       count = 0;
       sum = 0;
       sumsq = 0.0;
@@ -93,18 +96,33 @@ module Histogram = struct
   let bucket_value = value_of
   let bucket_count = nbuckets
 
+  let grow_slots a i fill =
+    let n = Array.length a in
+    if i < n then a
+    else begin
+      let m = ref (max 1 n) in
+      while !m <= i do
+        m := 2 * !m
+      done;
+      let b = Array.make (min !m nbuckets) fill in
+      Array.blit a 0 b 0 n;
+      b
+    end
+
   (* Occupied buckets, ascending — what a telemetry agent diffs between
      harvests to ship distribution deltas instead of raw samples. *)
   let nonzero_buckets h =
     let out = ref [] in
-    for i = nbuckets - 1 downto 0 do
+    for i = Array.length h.buckets - 1 downto 0 do
       if h.buckets.(i) > 0 then out := (i, h.buckets.(i)) :: !out
     done;
     !out
 
   let record_n h v n =
     let v = if v < 0 then 0 else v in
-    h.buckets.(index_of v) <- h.buckets.(index_of v) + n;
+    let i = index_of v in
+    if i >= Array.length h.buckets then h.buckets <- grow_slots h.buckets i 0;
+    h.buckets.(i) <- h.buckets.(i) + n;
     h.count <- h.count + n;
     h.sum <- h.sum + (v * n);
     h.sumsq <- h.sumsq +. (float_of_int v *. float_of_int v *. float_of_int n);
@@ -123,7 +141,9 @@ module Histogram = struct
     if h.count = 0 then 0
     else if v >= h.max_v then h.count
     else begin
-      let top = index_of (if v < 0 then 0 else v) in
+      let top =
+        min (index_of (if v < 0 then 0 else v)) (Array.length h.buckets - 1)
+      in
       let acc = ref 0 in
       for i = 0 to top do
         acc := !acc + h.buckets.(i)
@@ -142,8 +162,9 @@ module Histogram = struct
         let t = int_of_float (ceil (p /. 100.0 *. float_of_int h.count)) in
         if t < 1 then 1 else if t > h.count then h.count else t
       in
+      let n = Array.length h.buckets in
       let rec loop i acc =
-        if i >= nbuckets then h.max_v
+        if i >= n then h.max_v
         else begin
           let acc = acc + h.buckets.(i) in
           if acc >= target then
@@ -164,7 +185,7 @@ module Histogram = struct
     end
 
   let reset h =
-    Array.fill h.buckets 0 nbuckets 0;
+    Array.fill h.buckets 0 (Array.length h.buckets) 0;
     h.count <- 0;
     h.sum <- 0;
     h.sumsq <- 0.0;
@@ -172,9 +193,16 @@ module Histogram = struct
     h.min_v <- max_int
 
   let merge_into ~src ~dst =
-    for i = 0 to nbuckets - 1 do
-      dst.buckets.(i) <- dst.buckets.(i) + src.buckets.(i)
+    let top = ref (Array.length src.buckets - 1) in
+    while !top >= 0 && src.buckets.(!top) = 0 do
+      decr top
     done;
+    if !top >= 0 then begin
+      dst.buckets <- grow_slots dst.buckets !top 0;
+      for i = 0 to !top do
+        dst.buckets.(i) <- dst.buckets.(i) + src.buckets.(i)
+      done
+    end;
     dst.count <- dst.count + src.count;
     dst.sum <- dst.sum + src.sum;
     dst.sumsq <- dst.sumsq +. src.sumsq;

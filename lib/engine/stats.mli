@@ -3,7 +3,8 @@
 
     Histograms use logarithmic bucketing with linear sub-buckets (HdrHistogram
     style) so percentiles over latencies spanning several orders of magnitude
-    stay within ~3% relative error at O(1) memory. *)
+    stay within ~3% relative error. The bucket array grows on demand up
+    to the highest bucket reached, bounded by the fixed grid. *)
 
 (** Monotonic event counter. *)
 module Counter : sig
@@ -69,6 +70,14 @@ module Histogram : sig
 
   val bucket_count : int
   (** Number of buckets in the fixed grid. *)
+
+  val grow_slots : 'a array -> int -> 'a -> 'a array
+  (** [grow_slots a i fill] is [a] when it already covers slot [i];
+      otherwise a copy of [a] padded with [fill], doubled until it
+      covers [i] and capped at {!bucket_count}. Per-bucket arrays (the
+      histogram's own counts, exemplar slots, agent diff buffers) start
+      empty and grow this way, so a histogram costs memory for the
+      buckets it reaches, not the whole grid. *)
 
   val nonzero_buckets : t -> (int * int) list
   (** Occupied [(bucket, count)] pairs, ascending bucket order — the

@@ -39,10 +39,20 @@ type bank = {
 
 type channel = { banks : bank array; mutable bus_free_at : int }
 
+(* Backing store: fixed 4 KiB pages, allocated on first write. Every
+   untouched page is the one shared [absent] sentinel and reads as
+   zeros, so host memory tracks what the simulation actually wrote,
+   not the device's nominal size. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let absent = Bytes.create 0
+
 type t = {
   sim : Sim.t;
   cfg : config;
-  data : Bytes.t;
+  size : int;
+  pages : Bytes.t array;
+  mutable resident : int;  (* pages allocated so far *)
   chans : channel array;
   mutable n_reads : int;
   mutable n_writes : int;
@@ -56,7 +66,9 @@ let create sim cfg ~size_bytes =
   {
     sim;
     cfg;
-    data = Bytes.make size_bytes '\000';
+    size = size_bytes;
+    pages = Array.make ((size_bytes + page_size - 1) / page_size) absent;
+    resident = 0;
     chans =
       Array.init cfg.channels (fun _ ->
           {
@@ -72,7 +84,8 @@ let create sim cfg ~size_bytes =
     n_bytes = 0;
   }
 
-let size t = Bytes.length t.data
+let size t = t.size
+let resident_bytes t = t.resident * page_size
 let config t = t.cfg
 let reads t = t.n_reads
 let writes t = t.n_writes
@@ -89,16 +102,51 @@ let locate t addr =
   let row = row_global / t.cfg.channels / t.cfg.banks_per_channel in
   (t.chans.(chan_i), t.chans.(chan_i).banks.(bank_i), row)
 
+(* Copy device bytes [addr, addr + len) into a fresh buffer, page span
+   by page span; absent pages leave the buffer's zeros in place. *)
+let load t ~addr ~len =
+  let buf = Bytes.make len '\000' in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = a land (page_size - 1) in
+    let n = min (len - !pos) (page_size - off) in
+    let p = t.pages.(a lsr page_bits) in
+    if p != absent then Bytes.blit p off buf !pos n;
+    pos := !pos + n
+  done;
+  buf
+
+let store t ~addr b =
+  let len = Bytes.length b in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let i = a lsr page_bits in
+    let off = a land (page_size - 1) in
+    let n = min (len - !pos) (page_size - off) in
+    if t.pages.(i) == absent then begin
+      t.pages.(i) <- Bytes.make page_size '\000';
+      t.resident <- t.resident + 1
+    end;
+    Bytes.blit b !pos t.pages.(i) off n;
+    pos := !pos + n
+  done
+
+let check_range t ~addr ~len =
+  if addr < 0 || addr + len > t.size then
+    invalid_arg "Dram: access out of physical range"
+
 let perform t r =
   match r.kind with
   | Read cb ->
     t.n_reads <- t.n_reads + 1;
     t.n_bytes <- t.n_bytes + r.len;
-    cb (Bytes.sub t.data r.addr r.len)
+    cb (load t ~addr:r.addr ~len:r.len)
   | Write (b, cb) ->
     t.n_writes <- t.n_writes + 1;
     t.n_bytes <- t.n_bytes + Bytes.length b;
-    Bytes.blit b 0 t.data r.addr (Bytes.length b);
+    store t ~addr:r.addr b;
     cb ()
 
 (* Serve the head of a bank's queue; reschedules itself until empty. *)
@@ -134,8 +182,7 @@ let rec kick t chan bank =
   end
 
 let submit t r =
-  if r.addr < 0 || r.addr + r.len > Bytes.length t.data then
-    invalid_arg "Dram: access out of physical range";
+  check_range t ~addr:r.addr ~len:r.len;
   let chan, bank, _ = locate t r.addr in
   if Queue.length bank.queue >= t.cfg.queue_depth then false
   else begin
@@ -146,5 +193,11 @@ let submit t r =
 
 let read t ~addr ~len cb = submit t { addr; len; kind = Read cb }
 let write t ~addr b cb = submit t { addr; len = Bytes.length b; kind = Write (b, cb) }
-let peek t ~addr ~len = Bytes.sub t.data addr len
-let poke t ~addr b = Bytes.blit b 0 t.data addr (Bytes.length b)
+
+let peek t ~addr ~len =
+  check_range t ~addr ~len;
+  load t ~addr ~len
+
+let poke t ~addr b =
+  check_range t ~addr ~len:(Bytes.length b);
+  store t ~addr b

@@ -6,7 +6,9 @@
     complete asynchronously via callbacks. The array is backed by real
     bytes, so accelerators that store data in "DRAM" read back exactly what
     they wrote — memory-isolation experiments corrupt and verify real
-    contents. *)
+    contents. The backing store is paged: a 4 KiB page is allocated on
+    its first write and untouched bytes read as zeros, so host memory
+    follows the bytes written, not the device size. *)
 
 module Sim := Apiary_engine.Sim
 
@@ -41,10 +43,14 @@ val write : t -> addr:int -> bytes -> (unit -> unit) -> bool
 (** Submit a write of the whole buffer at [addr]. *)
 
 val peek : t -> addr:int -> len:int -> bytes
-(** Zero-time backdoor read (for tests and integrity checks only). *)
+(** Zero-time backdoor read (for tests and integrity checks only).
+    Raises [Invalid_argument] outside the device, like {!read}. *)
 
 val poke : t -> addr:int -> bytes -> unit
 (** Zero-time backdoor write. *)
+
+val resident_bytes : t -> int
+(** Host bytes backing the device: 4 KiB per page written so far. *)
 
 (** Statistics *)
 

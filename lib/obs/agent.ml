@@ -349,14 +349,11 @@ let harvest t =
           enqueue t (Wire.encode_record (Wire.Gauge_value (name, v)))
         end
       | Registry.Histogram h ->
-        let last =
-          match Hashtbl.find_opt t.last_hist name with
-          | Some a -> a
-          | None ->
-            let a = Array.make Stats.Histogram.bucket_count 0 in
-            Hashtbl.add t.last_hist name a;
-            a
-        in
+        let nonzero = Stats.Histogram.nonzero_buckets h in
+        let top = List.fold_left (fun _ (bucket, _) -> bucket) (-1) nonzero in
+        let prev = Option.value ~default:[||] (Hashtbl.find_opt t.last_hist name) in
+        let last = Stats.Histogram.grow_slots prev top 0 in
+        if last != prev then Hashtbl.replace t.last_hist name last;
         let deltas =
           List.filter_map
             (fun (bucket, count) ->
@@ -366,7 +363,7 @@ let harvest t =
                 Some (bucket, d)
               end
               else None)
-            (Stats.Histogram.nonzero_buckets h)
+            nonzero
         in
         if deltas <> [] then
           enqueue t (Wire.encode_record (Wire.Hist_delta (name, deltas))))

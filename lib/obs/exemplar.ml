@@ -8,17 +8,21 @@ module Stats = Apiary_engine.Stats
 
 type sample = { x_corr : int; x_value : int; x_ts : int }
 
-type t = { name : string; slots : sample option array }
+(* [slots] covers a prefix of the grid, grown to the highest bucket
+   observed; a slot past the end is empty. *)
+type t = { name : string; mutable slots : sample option array }
 
-let create name = { name; slots = Array.make Stats.Histogram.bucket_count None }
+let create name = { name; slots = [||] }
 let name t = t.name
 
 let observe t ~corr ~value ~ts =
   let value = max 0 value in
-  t.slots.(Stats.Histogram.bucket_of value) <-
-    Some { x_corr = corr; x_value = value; x_ts = ts }
+  let b = Stats.Histogram.bucket_of value in
+  t.slots <- Stats.Histogram.grow_slots t.slots b None;
+  t.slots.(b) <- Some { x_corr = corr; x_value = value; x_ts = ts }
 
-let find t ~value = t.slots.(Stats.Histogram.bucket_of value)
+let slot t i = if i >= 0 && i < Array.length t.slots then t.slots.(i) else None
+let find t ~value = slot t (Stats.Histogram.bucket_of value)
 
 (* The bucket holding [value] may be empty even when neighbours are not
    (percentile math returns bucket midpoints; under merge the retained
@@ -29,12 +33,12 @@ let near t ~value =
   let b = Stats.Histogram.bucket_of value in
   let n = Array.length t.slots in
   let rec go d =
-    if d >= n then None
+    if d > b && b + d >= n then None
     else
-      match (if b - d >= 0 then t.slots.(b - d) else None) with
+      match slot t (b - d) with
       | Some s -> Some s
       | None -> (
-        match (if b + d < n then t.slots.(b + d) else None) with
+        match slot t (b + d) with
         | Some s -> Some s
         | None -> go (d + 1))
   in

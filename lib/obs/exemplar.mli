@@ -21,7 +21,8 @@ type sample = {
 }
 
 val create : string -> t
-(** Empty store (one slot per histogram bucket) for the named metric. *)
+(** Empty store for the named metric; its slots follow the histogram
+    bucket grid and grow up to the highest bucket observed. *)
 
 val name : t -> string
 

@@ -248,6 +248,194 @@ let prop_hist_bounded_error =
       let got = Stats.Histogram.percentile h 50.0 in
       abs (got - exact) <= max 2 (exact / 10))
 
+(* Grown buckets against a dense reference: a full [bucket_count] slot
+   array with the original read paths, kept here so the growable
+   histogram is checked against what every reader used to see. *)
+module Dense = struct
+  module H = Stats.Histogram
+
+  type t = { b : int array; mutable count : int; mutable max_v : int }
+
+  let create () = { b = Array.make H.bucket_count 0; count = 0; max_v = 0 }
+
+  let record d v =
+    let v = max 0 v in
+    let i = H.bucket_of v in
+    d.b.(i) <- d.b.(i) + 1;
+    d.count <- d.count + 1;
+    if v > d.max_v then d.max_v <- v
+
+  let reset d =
+    Array.fill d.b 0 H.bucket_count 0;
+    d.count <- 0;
+    d.max_v <- 0
+
+  let merge_into ~src ~dst =
+    Array.iteri (fun i c -> dst.b.(i) <- dst.b.(i) + c) src.b;
+    dst.count <- dst.count + src.count;
+    dst.max_v <- max dst.max_v src.max_v
+
+  let percentile d p =
+    if d.count = 0 then 0
+    else begin
+      let target =
+        let t = int_of_float (ceil (p /. 100.0 *. float_of_int d.count)) in
+        if t < 1 then 1 else if t > d.count then d.count else t
+      in
+      let rec loop i acc =
+        if i >= H.bucket_count then d.max_v
+        else
+          let acc = acc + d.b.(i) in
+          if acc >= target then
+            if i = H.bucket_of d.max_v then d.max_v else H.bucket_value i
+          else loop (i + 1) acc
+      in
+      loop 0 0
+    end
+
+  let count_le d v =
+    if d.count = 0 then 0
+    else if v >= d.max_v then d.count
+    else begin
+      let acc = ref 0 in
+      for i = 0 to H.bucket_of v do
+        acc := !acc + d.b.(i)
+      done;
+      !acc
+    end
+
+  let nonzero_buckets d =
+    List.filter (fun (_, c) -> c > 0) (List.init H.bucket_count (fun i -> (i, d.b.(i))))
+end
+
+(* Samples include 0, negatives (clamped to 0) and [max_int], which lands
+   in the highest bucket a 63-bit int reaches, so arrays grow to the
+   capped end of the grid. *)
+let hist_value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return 0;
+        int_range (-1000) (-1);
+        int_bound 40;
+        int_bound 100_000;
+        int_range (max_int - 1000) max_int;
+        return max_int;
+      ])
+
+type hist_op = Rec of bool * int | Merge_ab | Merge_ba | Reset of bool
+
+let hist_ops_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 120)
+      (frequency
+         [
+           (12, map2 (fun a v -> Rec (a, v)) bool hist_value_gen);
+           (1, return Merge_ab);
+           (1, return Merge_ba);
+           (1, map (fun a -> Reset a) bool);
+         ]))
+
+let print_hist_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Rec (a, v) -> Printf.sprintf "%s<-%d" (if a then "a" else "b") v
+         | Merge_ab -> "a->b"
+         | Merge_ba -> "b->a"
+         | Reset a -> if a then "reset a" else "reset b")
+       ops)
+
+let prop_hist_grown_matches_dense =
+  let module H = Stats.Histogram in
+  QCheck.Test.make ~name:"grown buckets read like dense ones" ~count:300
+    (QCheck.make ~print:print_hist_ops hist_ops_gen)
+    (fun ops ->
+      let a = H.create "a" and b = H.create "b" in
+      let da = Dense.create () and db = Dense.create () in
+      let same h d =
+        H.count h = d.Dense.count
+        && H.nonzero_buckets h = Dense.nonzero_buckets d
+        && List.for_all
+             (fun p -> H.percentile h p = Dense.percentile d p)
+             [ 0.0; 1.0; 25.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]
+        && List.for_all
+             (fun v -> H.count_le h v = Dense.count_le d v)
+             [ -5; 0; 1; 31; 32; 1000; 99_999; max_int - 1; max_int ]
+      in
+      let apply = function
+        | Rec (true, v) -> H.record a v; Dense.record da v
+        | Rec (false, v) -> H.record b v; Dense.record db v
+        | Merge_ab -> H.merge_into ~src:a ~dst:b; Dense.merge_into ~src:da ~dst:db
+        | Merge_ba -> H.merge_into ~src:b ~dst:a; Dense.merge_into ~src:db ~dst:da
+        | Reset true -> H.reset a; Dense.reset da
+        | Reset false -> H.reset b; Dense.reset db
+      in
+      (* Compared before every merge and reset, and at the end. *)
+      List.for_all
+        (fun op ->
+          let ok = match op with Rec _ -> true | _ -> same a da && same b db in
+          apply op;
+          ok)
+        ops
+      && same a da && same b db)
+
+let test_hist_grow_slots () =
+  let module H = Stats.Histogram in
+  Alcotest.(check int) "covered: same array" 4 (Array.length (H.grow_slots [| 1; 2; 3; 4 |] 3 0));
+  let g = H.grow_slots [| 7 |] 5 0 in
+  Alcotest.(check (array int)) "doubled, padded" [| 7; 0; 0; 0; 0; 0; 0; 0 |] g;
+  Alcotest.(check int) "capped at the grid" H.bucket_count
+    (Array.length (H.grow_slots [||] (H.bucket_count - 1) 0))
+
+(* [Exemplar.near] over grown slots picks what the dense walk picks: the
+   reference keeps every slot and walks outward over the whole grid. *)
+let prop_exemplar_near_matches_dense =
+  let module H = Stats.Histogram in
+  let module Exemplar = Apiary_obs.Exemplar in
+  let dense_near slots value =
+    let b = H.bucket_of value in
+    let n = Array.length slots in
+    let rec go d =
+      if d >= n then None
+      else
+        match if b - d >= 0 then slots.(b - d) else None with
+        | Some s -> Some s
+        | None -> (
+          match if b + d < n then slots.(b + d) else None with
+          | Some s -> Some s
+          | None -> go (d + 1))
+    in
+    go 0
+  in
+  QCheck.Test.make ~name:"exemplar near matches dense slots" ~count:300
+    QCheck.(
+      pair
+        (make Gen.(list_size (int_range 0 30) hist_value_gen))
+        (make Gen.(list_size (int_range 1 20) hist_value_gen)))
+    (fun (observed, queries) ->
+      let x = Exemplar.create "x" in
+      let dense = Array.make H.bucket_count None in
+      List.iteri
+        (fun corr v ->
+          Exemplar.observe x ~corr ~value:v ~ts:corr;
+          let v = max 0 v in
+          dense.(H.bucket_of v) <- Some { Exemplar.x_corr = corr; x_value = v; x_ts = corr })
+        observed;
+      List.for_all
+        (fun q ->
+          Exemplar.near x ~value:q = dense_near dense q
+          && Exemplar.find x ~value:q = dense.(H.bucket_of q))
+        queries)
+
+let test_profile_env_parse () =
+  let on = Apiary_engine.Profile.enabled_of_env in
+  Alcotest.(check bool) "1" true (on (Some "1"));
+  Alcotest.(check bool) "0" false (on (Some "0"));
+  Alcotest.(check bool) "empty" false (on (Some ""));
+  Alcotest.(check bool) "unset" false (on None);
+  Alcotest.(check bool) "other" false (on (Some "yes"))
+
 (* ------------------------------------------------------------------ *)
 (* Sim + Fifo *)
 
@@ -644,7 +832,11 @@ let () =
           qc prop_hist_percentile_monotone_in_p;
           qc prop_hist_merge_conserves;
           qc prop_hist_bounded_error;
+          Alcotest.test_case "grow slots" `Quick test_hist_grow_slots;
+          qc prop_hist_grown_matches_dense;
+          qc prop_exemplar_near_matches_dense;
         ] );
+      ("profile", [ Alcotest.test_case "APIARY_PROF parse" `Quick test_profile_env_parse ]);
       ( "sim",
         [
           Alcotest.test_case "event order" `Quick test_sim_event_order;

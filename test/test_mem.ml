@@ -94,6 +94,136 @@ let test_dram_poke_peek () =
   Dram.poke d ~addr:100 (Bytes.of_string "xyz");
   Alcotest.(check string) "peek" "xyz" (Bytes.to_string (Dram.peek d ~addr:100 ~len:3))
 
+(* Random backdoor and timed accesses against a dense [Bytes] model of
+   the device. Spans are drawn around page boundaries and against the
+   device's last byte, so blits that cross pages and the tail are
+   exercised; out-of-range spans must still raise and change nothing. *)
+type dram_op =
+  | Op_write of int * string
+  | Op_read of int * int
+  | Op_poke of int * string
+  | Op_peek of int * int
+
+let page = 4096
+
+let dram_case_gen =
+  let open QCheck.Gen in
+  let* pages = int_range 1 6 in
+  let* tail = oneofl [ 0; 1; 100; page - 1 ] in
+  let size = (pages * page) + tail in
+  let span =
+    let* len = oneof [ int_range 0 16; int_range 1 (2 * page + 10) ] in
+    let* addr =
+      oneof
+        [
+          (* straddle a page boundary *)
+          map2 (fun p d -> (p * page) + d) (int_range 0 pages) (int_range (-len) 0);
+          (* end at (or just past) the last byte *)
+          map (fun d -> size - len + d) (int_range 0 1);
+          int_range 0 (max 0 (size - len));
+          (* clearly out of range *)
+          oneofl [ -1; size; size + page ];
+        ]
+    in
+    return (addr, len)
+  in
+  let data len = string_size ~gen:(oneof [ return '\000'; char ]) (return len) in
+  let op =
+    let* addr, len = span in
+    oneof
+      [
+        map (fun d -> Op_write (addr, d)) (data len);
+        return (Op_read (addr, len));
+        map (fun d -> Op_poke (addr, d)) (data len);
+        return (Op_peek (addr, len));
+      ]
+  in
+  pair (return size) (list_size (int_range 1 40) op)
+
+let print_dram_case (size, ops) =
+  Printf.sprintf "size=%d [%s]" size
+    (String.concat "; "
+       (List.map
+          (function
+            | Op_write (a, d) -> Printf.sprintf "write %d+%d" a (String.length d)
+            | Op_read (a, n) -> Printf.sprintf "read %d+%d" a n
+            | Op_poke (a, d) -> Printf.sprintf "poke %d+%d" a (String.length d)
+            | Op_peek (a, n) -> Printf.sprintf "peek %d+%d" a n)
+          ops))
+
+let prop_dram_matches_dense =
+  QCheck.Test.make ~name:"paged store matches a dense model" ~count:300
+    (QCheck.make ~print:print_dram_case dram_case_gen)
+    (fun (size, ops) ->
+      let sim = Sim.create () in
+      let d = mk_dram ~size sim in
+      let model = Bytes.make size '\000' in
+      let touched = Hashtbl.create 16 in
+      let in_range addr len = addr >= 0 && addr + len <= size in
+      let raises f =
+        match f () with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let set addr data =
+        Bytes.blit_string data 0 model addr (String.length data);
+        String.iteri (fun i _ -> Hashtbl.replace touched ((addr + i) / page) ()) data
+      in
+      let expect addr len got =
+        if Bytes.to_string got <> Bytes.sub_string model addr len then
+          QCheck.Test.fail_reportf "contents differ at %d+%d" addr len
+      in
+      let settle () = Sim.run_for sim 1000 in
+      List.iter
+        (fun op ->
+          match op with
+          | Op_write (addr, data) when in_range addr (String.length data) ->
+            let done_ = ref false in
+            assert (Dram.write d ~addr (Bytes.of_string data) (fun () -> done_ := true));
+            settle ();
+            assert !done_;
+            set addr data
+          | Op_read (addr, len) when in_range addr len ->
+            let got = ref None in
+            assert (Dram.read d ~addr ~len (fun b -> got := Some b));
+            settle ();
+            expect addr len (Option.get !got)
+          | Op_poke (addr, data) when in_range addr (String.length data) ->
+            Dram.poke d ~addr (Bytes.of_string data);
+            set addr data
+          | Op_peek (addr, len) when in_range addr len ->
+            expect addr len (Dram.peek d ~addr ~len)
+          | Op_write (addr, data) ->
+            if not (raises (fun () -> Dram.write d ~addr (Bytes.of_string data) ignore))
+            then QCheck.Test.fail_reportf "write %d+%d did not raise" addr (String.length data)
+          | Op_read (addr, len) ->
+            if not (raises (fun () -> Dram.read d ~addr ~len ignore)) then
+              QCheck.Test.fail_reportf "read %d+%d did not raise" addr len
+          | Op_poke (addr, data) ->
+            if not (raises (fun () -> Dram.poke d ~addr (Bytes.of_string data))) then
+              QCheck.Test.fail_reportf "poke %d+%d did not raise" addr (String.length data)
+          | Op_peek (addr, len) ->
+            if not (raises (fun () -> Dram.peek d ~addr ~len)) then
+              QCheck.Test.fail_reportf "peek %d+%d did not raise" addr len)
+        ops;
+      expect 0 size (Dram.peek d ~addr:0 ~len:size);
+      (* Pages never written read back as zeros. *)
+      for p = 0 to (size - 1) / page do
+        if not (Hashtbl.mem touched p) then begin
+          let len = min page (size - (p * page)) in
+          if Bytes.exists (fun c -> c <> '\000') (Dram.peek d ~addr:(p * page) ~len)
+          then QCheck.Test.fail_reportf "untouched page %d is not zero" p
+        end
+      done;
+      Dram.resident_bytes d <= Hashtbl.length touched * page)
+
+let test_dram_kernel_boot_resident () =
+  let sim = Sim.create () in
+  let k = Apiary_core.Kernel.create sim Apiary_core.Kernel.default_config in
+  let d = Apiary_core.Kernel.dram k in
+  Alcotest.(check int) "nominal size" (64 * 1024 * 1024) (Dram.size d);
+  Alcotest.(check int) "nothing resident at boot" 0 (Dram.resident_bytes d)
+
 (* ------------------------------------------------------------------ *)
 (* Segment allocator *)
 
@@ -264,6 +394,8 @@ let () =
           Alcotest.test_case "bank behaviour" `Quick test_dram_parallel_banks_faster_than_one;
           Alcotest.test_case "oob" `Quick test_dram_oob_raises;
           Alcotest.test_case "poke/peek" `Quick test_dram_poke_peek;
+          qc prop_dram_matches_dense;
+          Alcotest.test_case "kernel boot resident" `Quick test_dram_kernel_boot_resident;
         ] );
       ( "seg_alloc",
         [
