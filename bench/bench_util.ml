@@ -6,6 +6,7 @@ module Par_sim = Apiary_engine.Par_sim
 module Profile = Apiary_engine.Profile
 module Stats = Apiary_engine.Stats
 module Cluster = Apiary_cluster.Cluster
+module Series = Apiary_obs.Series
 
 let cycle_ns = 4.0 (* 250 MHz fabric *)
 
@@ -120,6 +121,23 @@ let with_rack ~boards ~clients ~duration body =
   Par_sim.shutdown eng;
   finish ()
 
+(* Event counts per [interval]-cycle window over a [duration]-cycle run:
+   an [Obs.Series] with a ring long enough that no window is evicted.
+   Record one event with [Series.observe series ~now name 1]. *)
+let count_series ~interval ~duration =
+  Series.create ~capacity:((duration / interval) + 1) ~window:interval ()
+
+(* [(window start, events)] for metric [name], oldest first, after
+   closing every window the run touched. Windows with no event are left
+   out, so averages over a span skip them. *)
+let window_counts series name ~duration =
+  Series.close_upto series (duration + Series.window series);
+  List.filter_map
+    (fun (r : Series.rollup) ->
+      if r.Series.r_count = 0 then None
+      else Some (r.Series.r_start, float_of_int r.Series.r_count))
+    (Series.rollups series name)
+
 let parallel_map f items =
   let items = Array.of_list items in
   let n = Array.length items in
@@ -162,6 +180,7 @@ let obs_enabled = ref false
 
 type perf_record = {
   pr_id : string;
+  pr_variant : string;  (* workload size and flags; see [variant] *)
   pr_wall_s : float;
   pr_cycles : int;
   pr_skipped : int;  (* cycles fast-forwarded through quiescence *)
@@ -175,6 +194,16 @@ type perf_record = {
 }
 
 let perf_records : perf_record list ref = ref []
+
+(* Which workload an experiment id ran: "small" when its
+   APIARY_<ID>_SMALL knob shrank it, else "full", plus "+obs" under
+   --obs. perf_guard compares rows only when id and variant both match,
+   so the --obs e12 drill is never read against a plain e12 sweep. *)
+let variant id =
+  let small =
+    Sys.getenv_opt ("APIARY_" ^ String.uppercase_ascii id ^ "_SMALL") <> None
+  in
+  (if small then "small" else "full") ^ if !obs_enabled then "+obs" else ""
 
 (* Wall-clock an experiment and record simulated cycles advanced across
    all sims (including parallel domains) while it ran. *)
@@ -204,6 +233,7 @@ let timed id f () =
     perf_records :=
       {
         pr_id = id;
+        pr_variant = variant id;
         pr_wall_s = dt;
         pr_cycles = Sim.total_cycles () - cycles0;
         pr_skipped = Sim.total_skipped () - skipped0;
@@ -223,9 +253,10 @@ let write_perf_json path =
   let records = List.rev !perf_records in
   (* Honest context for the run: how many domains its engines actually
      occupied (speedup claims are meaningless without it) and which
-     engine mode was selected. perf_guard keys on per-experiment "id"
-     lines and skips these. The major-heap high-water mark is one
-     process-wide figure, so it is written once here, not per row. *)
+     engine mode was selected. perf_guard keys on per-experiment
+     "id"/"variant" lines and skips these. The major-heap high-water
+     mark is one process-wide figure, so it is written once here, not
+     per row. *)
   Printf.fprintf oc
     "{\n  \"domains_used\": %d,\n  \"par_mode\": \"%s\",\n  \"top_heap_mb\": %.1f,\n"
     !domains_used
@@ -239,8 +270,8 @@ let write_perf_json path =
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "    {\"id\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d, \"alloc_words\": %.0f%s}%s\n"
-        r.pr_id r.pr_wall_s r.pr_cycles
+        "    {\"id\": \"%s\", \"variant\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d, \"alloc_words\": %.0f%s}%s\n"
+        r.pr_id r.pr_variant r.pr_wall_s r.pr_cycles
         (if r.pr_wall_s > 0.0 then float_of_int r.pr_cycles /. r.pr_wall_s
          else 0.0)
         r.pr_skipped r.pr_active_ticks r.pr_skipped_ticks r.pr_alloc_words

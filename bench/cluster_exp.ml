@@ -143,7 +143,7 @@ let e12c_run ~boards ~duration =
 let e12d_run ~duration ~kill_at ~restore_at ~interval =
   let boards = 4 in
   let victim = 2 in
-  let series = Stats.Series.create "e12d" ~interval in
+  let series = count_series ~interval ~duration in
   let clients =
     with_rack ~boards ~clients:boards ~duration (fun sim cluster ->
         for b = 0 to boards - 1 do
@@ -159,7 +159,7 @@ let e12d_run ~duration ~kill_at ~restore_at ~interval =
         List.iter
           (fun c ->
             Shard_client.set_on_complete c (fun ~now ->
-                Stats.Series.record series ~now 1.0))
+                Series.observe series ~now "e12d" 1))
           clients;
         Sim.after sim 3_000 (fun () ->
             List.iter (fun c -> Shard_client.start c ~concurrency:8) clients);
@@ -173,7 +173,7 @@ let e12d_run ~duration ~kill_at ~restore_at ~interval =
           List.iter Shard_client.stop clients;
           clients)
   in
-  let buckets = Stats.Series.buckets series in
+  let buckets = window_counts series "e12d" ~duration in
   let avg_over lo hi =
     let sel =
       List.filter (fun (t, _) -> t >= lo && t + interval <= hi) buckets

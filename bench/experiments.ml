@@ -1231,16 +1231,16 @@ let e10 () =
   let enc_client = Board.client board ~port:1 () in
   let kv_client = Board.client board ~port:2 () in
   let bucket = 10_000 in
-  let enc_series = Stats.Series.create "enc" ~interval:bucket in
-  let kv_series = Stats.Series.create "kv" ~interval:bucket in
+  let duration = 300_000 in
+  let series = count_series ~interval:bucket ~duration in
   let enc_fail = ref 0 in
   Client.on_response enc_client (fun rsp ->
       if rsp.Netproto.status = Netproto.Ok_resp then
-        Stats.Series.record enc_series ~now:(Sim.now sim) 1.0
+        Series.observe series ~now:(Sim.now sim) "enc" 1
       else incr enc_fail);
   Client.on_response kv_client (fun rsp ->
       if rsp.Netproto.status = Netproto.Ok_resp then
-        Stats.Series.record kv_series ~now:(Sim.now sim) 1.0);
+        Series.observe series ~now:(Sim.now sim) "kv" 1);
   Sim.after sim 2_000 (fun () ->
       Client.start_closed enc_client
         { Client.service = "enc"; op = Accels.op_encode; gen = (fun _ -> bytes_of 512) }
@@ -1262,23 +1262,23 @@ let e10 () =
       Kernel.reconfigure kernel ~tile:enc_tile ~bitstream_bytes:800_000
         (Accels.video_encoder ~service:"enc" ~q:3 ())
         ~on_done:(fun () -> pr_done := Sim.now sim));
-  Sim.run_for sim 300_000;
+  Sim.run_for sim duration;
   Client.stop enc_client;
   Client.stop kv_client;
   Printf.printf "PR window: cycle 60,000 -> %s (%s us)\n" (commas !pr_done)
     (f1 (us_of_cycles (!pr_done - 60_000)));
-  let lookup series t =
-    match List.assoc_opt t (Stats.Series.buckets series) with
-    | Some v -> int_of_float v
-    | None -> 0
+  let enc = window_counts series "enc" ~duration in
+  let kv = window_counts series "kv" ~duration in
+  let lookup counts t =
+    match List.assoc_opt t counts with Some v -> int_of_float v | None -> 0
   in
   let rows =
     List.map
       (fun t ->
         [
           Printf.sprintf "%dk-%dk" (t / 1000) ((t + bucket) / 1000);
-          i (lookup enc_series t);
-          i (lookup kv_series t);
+          i (lookup enc t);
+          i (lookup kv t);
         ])
       (List.init 15 (fun idx -> (idx * 2) * bucket))
   in

@@ -110,7 +110,7 @@ let e13a_run ~read_period ~duration =
 
 let e13b_run ~detector ~duration ~kill_at ~interval =
   let boards = 4 and victim = 2 in
-  let series = Stats.Series.create "e13b" ~interval in
+  let series = count_series ~interval ~duration in
   let gen n =
     let key = Printf.sprintf "k%03d" (n mod 167) in
     let req =
@@ -139,7 +139,7 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
         List.iter
           (fun c ->
             Shard_client.set_on_complete c (fun ~now ->
-                Stats.Series.record series ~now 1.0))
+                Series.observe series ~now "e13b" 1))
           clients;
         Sim.after sim 3_000 (fun () ->
             List.iter (fun c -> Shard_client.start c ~concurrency:8) clients);
@@ -148,7 +148,7 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
           List.iter Shard_client.stop clients;
           (watchdog, clients))
   in
-  let buckets = Stats.Series.buckets series in
+  let buckets = window_counts series "e13b" ~duration in
   let avg_over lo hi =
     match
       List.filter (fun (t, _) -> t >= lo && t + interval <= hi) buckets
@@ -210,33 +210,33 @@ let e13c_run () =
                        (fun r -> match r with Ok _ -> go () | Error _ -> ())
                    in
                    go ()))));
+  (* The row describes the dump, so every figure is read from the ring
+     as it stood when the dump was taken, not after the run drained on
+     past the fault. *)
+  let flight = Kernel.flight k in
   let dump = ref None in
   Kernel.on_fault k (fun tile reason ->
       if !dump = None then
         dump :=
           Some
-            (Flight.dump_json (Kernel.flight k)
-               ~reason:(Printf.sprintf "tile %d: %s" tile reason)
-               ~cycle:(Sim.now sim)));
+            ( Flight.dump_json flight
+                ~reason:(Printf.sprintf "tile %d: %s" tile reason)
+                ~cycle:(Sim.now sim),
+              Flight.entries flight,
+              Flight.total flight ));
   Sim.run_for sim 60_000;
-  let flight = Kernel.flight k in
-  let entries = Flight.entries flight in
-  let last_is_fault =
-    match List.rev entries with
-    | e :: _ -> e.Flight.cat = "monitor" && e.Flight.name = "fault"
-    | [] -> false
-  in
-  (match !dump with
-  | Some doc ->
+  match !dump with
+  | None -> (false, 0, 0, Flight.capacity flight, false)
+  | Some (doc, entries, total) ->
     let oc = open_out e13c_postmortem in
     output_string oc doc;
-    close_out oc
-  | None -> ());
-  ( !dump <> None,
-    List.length entries,
-    Flight.total flight,
-    Flight.capacity flight,
-    last_is_fault )
+    close_out oc;
+    let last_is_fault =
+      match List.rev entries with
+      | e :: _ -> e.Flight.cat = "monitor" && e.Flight.name = "fault"
+      | [] -> false
+    in
+    (true, List.length entries, total, Flight.capacity flight, last_is_fault)
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path attribution (--obs): where does a KV request's

@@ -2,15 +2,18 @@
 
      perf_guard.exe BENCH_baseline.json BENCH_perf.json
 
-   Fails (exit 1) when any experiment present in both files has a
-   [cycles_per_s] below [0.7 * APIARY_PERF_FACTOR] of its baseline.
-   APIARY_PERF_FACTOR (default 1.0) discounts the baseline for slower
-   machines — CI runners set it well below 1 so only real regressions,
-   not hardware variance, trip the guard. Experiments present in only
-   one file are skipped. Rows present in both must have simulated the
-   same [sim_cycles]: a mismatch means the two runs were different
-   workloads (another size or flag set), and comparing their rates
-   would be meaningless, so it fails rather than skips. Rows with
+   Rows are keyed by (id, variant): the variant names the workload size
+   and flags the row ran with ("small"/"full", plus "+obs"), so the
+   same id run two ways is two rows. Fails (exit 1) when any row present
+   in both files has a [cycles_per_s] below [0.7 * APIARY_PERF_FACTOR]
+   of its baseline. APIARY_PERF_FACTOR (default 1.0) discounts the
+   baseline for slower machines — CI runners set it well below 1 so
+   only real regressions, not hardware variance, trip the guard. A
+   baseline id absent from the current run is skipped; an id present
+   under another variant fails, naming both keys, since the two rows
+   are different workloads. Rows present in both must also have
+   simulated the same [sim_cycles]: a mismatch means a different
+   workload the variant does not name, so it fails too. Rows with
    [sim_cycles = 0] on both sides (sub-second experiments whose rate is
    pure noise) are skipped.
 
@@ -30,6 +33,7 @@
 
 type rec_t = {
   id : string;
+  variant : string;
   sim_cycles : int;
   cycles_per_s : float;
   active_ticks : int option;
@@ -87,6 +91,7 @@ let parse path =
          if !domains = None then
            domains := Option.map int_of_float (field_num line "domains_used")
        | Some id ->
+         let variant = Option.value ~default:"?" (field_str line "variant") in
          let sim_cycles =
            int_of_float (Option.value ~default:0.0 (field_num line "sim_cycles"))
          in
@@ -97,7 +102,9 @@ let parse path =
            Option.map int_of_float (field_num line "active_ticks")
          in
          let alloc_words = field_num line "alloc_words" in
-         out := { id; sim_cycles; cycles_per_s; active_ticks; alloc_words } :: !out
+         out :=
+           { id; variant; sim_cycles; cycles_per_s; active_ticks; alloc_words }
+           :: !out
      done
    with End_of_file -> ());
   close_in ic;
@@ -123,8 +130,18 @@ let () =
   let failures = ref 0 in
   List.iter
     (fun b ->
-      match List.find_opt (fun c -> c.id = b.id) current with
-      | None -> Printf.printf "perf-guard: %-6s not in current run, skipped\n" b.id
+      let same_id = List.filter (fun c -> c.id = b.id) current in
+      match List.find_opt (fun c -> c.variant = b.variant) same_id with
+      | None when same_id = [] ->
+        Printf.printf "perf-guard: %-6s not in current run, skipped\n" b.id
+      | None ->
+        Printf.printf
+          "perf-guard: %-6s VARIANT MISMATCH  baseline (%s, %s), current %s: \
+           not the same workload (re-record the baseline with these flags)\n"
+          b.id b.id b.variant
+          (String.concat ", "
+             (List.map (fun c -> Printf.sprintf "(%s, %s)" c.id c.variant) same_id));
+        incr failures
       | Some c when c.sim_cycles <> b.sim_cycles ->
         Printf.printf
           "perf-guard: %-6s SIZE MISMATCH  baseline %d sim cycles, current %d: \
@@ -172,7 +189,7 @@ let () =
   if !failures > 0 then begin
     Printf.printf
       "perf-guard: %d check(s) failed (rate floor %.0f%% below baseline, or a \
-       size, activity or allocation check)\n"
+       variant, size, activity or allocation check)\n"
       !failures
       ((1.0 -. threshold) *. 100.0);
     exit 1

@@ -16,7 +16,6 @@ module Coord = Apiary_noc.Coord
 module Traffic = Apiary_noc.Traffic
 module Kernel = Apiary_core.Kernel
 module Monitor = Apiary_core.Monitor
-module Trace = Apiary_core.Trace
 module Statsvc = Apiary_core.Statsvc
 module Perf = Apiary_obs.Perf
 module Flight = Apiary_obs.Flight
@@ -103,9 +102,9 @@ let run_cmd scenario cycles clients enforce trace_on seed =
   in
   let board = Board.create ~kernel_cfg:kcfg sim in
   let kernel = board.Board.kernel in
-  if trace_on then Trace.set_enabled (Kernel.trace kernel) true;
-  (* With APIARY_FLIGHT=1 the kernel armed its flight recorder at boot:
-     dump the postmortem on the first fail-stop. *)
+  if trace_on then Flight.set_enabled (Kernel.flight kernel) true;
+  (* With the ring armed (--trace, or APIARY_FLIGHT=1 at boot), dump the
+     postmortem on the first fail-stop. *)
   Kernel.on_fault kernel (fun tile reason ->
       let f = Kernel.flight kernel in
       if Flight.enabled f then begin
@@ -141,13 +140,13 @@ let run_cmd scenario cycles clients enforce trace_on seed =
     (Kernel.total_denied kernel);
   if trace_on then begin
     Printf.printf "\n--- last trace events ---\n";
-    let evs = Trace.events (Kernel.trace kernel) in
+    let evs = Flight.entries (Kernel.flight kernel) in
     let n = List.length evs in
     List.iteri
-      (fun idx (e : Trace.event) ->
+      (fun idx (e : Flight.entry) ->
         if idx >= n - 30 then
-          Printf.printf "[%8d] tile%-3d %-5s %s\n" e.Trace.cycle e.Trace.tile
-            (Trace.dir_to_string e.Trace.dir) e.Trace.detail)
+          Printf.printf "[%8d] tile%-3d %-5s %s\n" e.Flight.ts e.Flight.tile
+            (Flight.label e) e.Flight.detail)
       evs
   end;
   0

@@ -11,12 +11,12 @@ module Sim = Apiary_engine.Sim
 module Kernel = Apiary_core.Kernel
 module Shell = Apiary_core.Shell
 module Message = Apiary_core.Message
-module Trace = Apiary_core.Trace
+module Flight = Apiary_obs.Flight
 
 let () =
   let sim = Sim.create () in
   let kernel = Kernel.create sim Kernel.default_config in
-  Trace.set_enabled (Kernel.trace kernel) true;
+  Flight.set_enabled (Kernel.flight kernel) true;
 
   (* A tiny accelerator: upper-cases whatever it receives. *)
   let upcaser =
@@ -65,9 +65,10 @@ let () =
 
   Printf.printf "\n--- message trace (tile 6 egress) ---\n";
   List.iter
-    (fun (e : Trace.event) ->
-      Printf.printf "[%6d] tile%-2d %-4s %s\n" e.Trace.cycle e.Trace.tile
-        (Trace.dir_to_string e.Trace.dir) e.Trace.detail)
-    (Trace.find (Kernel.trace kernel) ~tile:6 ~dir:Trace.Egress ());
+    (fun (e : Flight.entry) ->
+      if e.Flight.tile = 6 && e.Flight.name = "admit" then
+        Printf.printf "[%6d] tile%-2d %-4s %s\n" e.Flight.ts e.Flight.tile
+          (Flight.label e) e.Flight.detail)
+    (Flight.entries (Kernel.flight kernel));
   Printf.printf "\ntotal messages on fabric: %d, denied: %d\n"
     (Kernel.total_msgs kernel) (Kernel.total_denied kernel)

@@ -15,7 +15,7 @@
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Shell = Apiary_core.Shell
-module Trace = Apiary_core.Trace
+module Flight = Apiary_obs.Flight
 module Kv = Apiary_accel.Kv
 module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
@@ -118,9 +118,9 @@ let () =
   Printf.printf "\nmerged trace sample (all boards, cycle-ordered):\n";
   let netsvc_events =
     List.filter
-      (fun e -> e.Trace.tile = 1 && e.Trace.dir = Trace.Ingress)
+      (fun (_, e) -> e.Flight.tile = 1 && e.Flight.name = "ingress")
       (Cluster.merged_trace cluster)
   in
   List.iteri
-    (fun idx e -> if idx < 8 then Format.printf "  %a@." Trace.pp_event e)
+    (fun idx e -> if idx < 8 then Format.printf "  %a@." Flight.pp_entry e)
     netsvc_events

@@ -79,11 +79,13 @@ val install : t -> board:int -> ?service:string -> Shell.behavior -> int
     same name with its own kernel in [on_boot], as usual). *)
 
 val set_tracing : t -> bool -> unit
-(** Enable/disable tracing on every board's kernel at once. *)
+(** Arm/disarm every board's event ring ({!Apiary_core.Kernel.flight})
+    at once. *)
 
-val merged_trace : t -> Apiary_core.Trace.event list
-(** All boards' trace events pooled into one cycle-ordered stream (each
-    event carries its board id). *)
+val merged_trace : t -> (int * Apiary_obs.Flight.entry) list
+(** Every board's ring pooled into one stable cycle-ordered stream
+    ({!Apiary_obs.Flight.merge}), each entry paired with its board
+    id. *)
 
 (** {1 Failure injection} *)
 

@@ -3,9 +3,9 @@
     identity (board id and MAC address) and a free-tile allocator the
     cluster installs services through.
 
-    The node's kernel trace is stamped with the board id at creation, so
-    {!Apiary_core.Trace.merge} over all nodes yields one attributed
-    rack-wide event stream. *)
+    The node's kernel event ring is stamped with the board id at
+    creation, so {!Apiary_obs.Flight.merge} over all nodes yields one
+    attributed rack-wide event stream. *)
 
 module Sim := Apiary_engine.Sim
 module Kernel := Apiary_core.Kernel

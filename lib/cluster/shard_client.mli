@@ -61,7 +61,7 @@ val exemplars : t -> Apiary_obs.Exemplar.t
 val live_boards : t -> int list
 
 val set_on_complete : t -> (now:int -> unit) -> unit
-(** Hook fired at each completion (e.g. to feed a {!Stats.Series}). *)
+(** Hook fired at each completion (e.g. to feed an {!Apiary_obs.Series}). *)
 
 val set_on_outcome :
   t -> (now:int -> req:int -> latency:int option -> unit) -> unit

@@ -15,7 +15,6 @@ type config = {
   name_tile : int;
   mem_tile : int;
   pr_bytes_per_cycle : int;
-  trace_capacity : int;
 }
 
 let default_config =
@@ -29,7 +28,6 @@ let default_config =
     name_tile = 0;
     mem_tile = (Mesh.default_config.Mesh.cols * Mesh.default_config.Mesh.rows) - 1;
     pr_bytes_per_cycle = 8;
-    trace_capacity = 4096;
   }
 
 type t = {
@@ -38,7 +36,6 @@ type t = {
   k_mesh : Message.t Mesh.t;
   k_dram : Dram.t;
   k_alloc : Seg_alloc.t;
-  k_trace : Trace.t;
   k_flight : Apiary_obs.Flight.t;
   monitors : Monitor.t array;
   quad_regions : int array;  (* activity subregion id per tile quadrant *)
@@ -62,7 +59,6 @@ let user_tiles t =
 let mesh t = t.k_mesh
 let dram t = t.k_dram
 let allocator t = t.k_alloc
-let trace t = t.k_trace
 let flight t = t.k_flight
 let monitor t i = t.monitors.(i)
 
@@ -101,7 +97,6 @@ let quadrant_activity t =
   Array.map (fun r -> Sim.region_active t.k_sim r) t.quad_regions
 
 let set_obs_board t id =
-  Trace.set_board t.k_trace id;
   Mesh.set_obs_board t.k_mesh id;
   Apiary_obs.Flight.set_board t.k_flight id
 
@@ -138,17 +133,9 @@ let create sim cfg =
   let k_mesh = Mesh.create sim cfg.mesh in
   let k_dram = Dram.create sim cfg.dram ~size_bytes:cfg.dram_bytes in
   let k_alloc = Seg_alloc.create ~base:0 ~size:cfg.dram_bytes cfg.alloc_policy in
-  let k_trace = Trace.create ~capacity:cfg.trace_capacity () in
-  (* The board's black box. APIARY_FLIGHT=1 arms it at boot (the CLI and
-     bench also arm it explicitly); APIARY_FLIGHT_CAP resizes the ring.
+  (* The board's event ring (flight recorder and message trace).
      Disabled (the default), it records nothing and changes no output. *)
-  let k_flight =
-    let capacity = Apiary_obs.Env.int ~min:16 "APIARY_FLIGHT_CAP" ~default:256 in
-    let f = Apiary_obs.Flight.create ~capacity () in
-    if Sys.getenv_opt "APIARY_FLIGHT" = Some "1" then
-      Apiary_obs.Flight.set_enabled f true;
-    f
-  in
+  let k_flight = Apiary_obs.Flight.create () in
   let name_behavior, unregister_names = Services.name_service () in
   let mem_behavior = Services.mem_service k_dram k_alloc in
   (* Monitors are created below; fabric closures capture the array. *)
@@ -215,7 +202,7 @@ let create sim cfg =
           else Monitor.idle_behavior
         in
         Monitor.create ~region:(quad_of tile) sim ~tile (monitor_cfg_of tile)
-          (fabric_of tile) ~trace:k_trace ~flight:k_flight ~privileged behavior)
+          (fabric_of tile) ~flight:k_flight ~privileged behavior)
   in
   monitors_ref := monitors;
   (* NoC delivery -> monitor ingress. *)
@@ -231,7 +218,6 @@ let create sim cfg =
       k_mesh;
       k_dram;
       k_alloc;
-      k_trace;
       k_flight;
       monitors;
       quad_regions;

@@ -28,7 +28,6 @@ type config = {
   pr_bytes_per_cycle : int;
       (** Partial-reconfiguration port bandwidth (ICAP ≈ 400 MB/s ⇒
           ~6 B/cycle at 250 MHz... default 8). *)
-  trace_capacity : int;
 }
 
 val default_config : config
@@ -55,13 +54,14 @@ val user_tiles : t -> int list
 val mesh : t -> Message.t Mesh.t
 val dram : t -> Dram.t
 val allocator : t -> Seg_alloc.t
-val trace : t -> Trace.t
 
 val flight : t -> Apiary_obs.Flight.t
-(** The board's fault flight recorder, shared by every monitor. Disabled
-    by default; arm it with [Apiary_obs.Flight.set_enabled] (or boot
-    with [APIARY_FLIGHT=1]; [APIARY_FLIGHT_CAP] resizes the ring) and
-    dump it from an {!on_fault} subscriber. *)
+(** The board's event ring — flight recorder and message trace —
+    shared by every monitor. Disabled by default; arm it with
+    [Apiary_obs.Flight.set_enabled] (or boot with [APIARY_FLIGHT=1];
+    [APIARY_FLIGHT_CAP] resizes it), read it with
+    [Apiary_obs.Flight.entries] or dump it from an {!on_fault}
+    subscriber. *)
 
 val monitor : t -> int -> Monitor.t
 
@@ -104,9 +104,10 @@ val quadrant_activity : t -> int array
 (** {1 Observability} *)
 
 val set_obs_board : t -> int -> unit
-(** Stamp the board id on this kernel's trace and on the mesh (routers
-    and NICs), so message traces and [Apiary_obs.Span] events from this
-    board are attributed correctly in merged/exported views. *)
+(** Stamp the board id on this kernel's event ring ({!flight}) and on
+    the mesh (routers and NICs), so ring entries and [Apiary_obs.Span]
+    events from this board are attributed correctly in merged/exported
+    views. *)
 
 val register_metrics : t -> prefix:string -> unit
 (** Install [Apiary_obs.Registry] samplers (under [prefix ^ ".kernel"]

@@ -91,7 +91,6 @@ and t = {
   m_tile : int;
   cfg : config;
   fabric : fabric;
-  trace : Trace.t;
   privileged : bool;
   m_rng : Rng.t;
   mutable m_store : Store.t;
@@ -109,7 +108,7 @@ and t = {
   reply_ok : (int * int, int) Hashtbl.t;  (* (peer tile, corr) -> windows *)
   mutable granted : (Store.t * Store.handle) list;
   perf : Perf.t;  (* the tile's hardware counter block *)
-  flight : Flight.t;  (* board flight recorder (shared, owned by kernel) *)
+  flight : Flight.t;  (* board event ring (shared, owned by kernel) *)
   lat_added : Stats.Histogram.t;
   mutable hang_cycles : int;
   mutable last_progress : int;
@@ -138,27 +137,29 @@ let control_addr t = { Message.tile = t.m_tile; ep = Message.control_ep }
 let rng t = t.m_rng
 let now t = Sim.now t.m_sim
 
-let tracef t dir detail =
-  Trace.record t.trace ~cycle:(now t) ~tile:t.m_tile ~dir ~detail ()
-
-(* Board id for Span events: the trace's board stamp (set by Node for
+(* Board id for Span events: the ring's board stamp (set by Node for
    rack members), or -1 for a free-standing board. *)
-let obs_board t = Option.value ~default:(-1) (Trace.board t.trace)
+let obs_board t = Flight.board t.flight
 
-let obs_mark t ?corr ?args name =
-  if Span.on () then
-    Span.instant ~board:(obs_board t) ?corr ?args ~cat:"monitor" ~name
-      ~track:t.m_tile ~ts:(now t) ();
-  (* Same marks feed the board flight recorder, so a postmortem has the
-     admit/deny/drop/fault sequence even when span capture is off. *)
-  Flight.record t.flight ~ts:(now t) ~tile:t.m_tile ~cat:"monitor" ~name ?corr
-    ?args ()
+(* The one probe every instrumentation site calls. With the board ring
+   and spans both off it is two flag reads and allocates nothing: the
+   detail string ([show x]) and the args list are built only for a sink
+   that records. [span] marks the sites that also emit a span instant
+   (admit, deny, egress drop, fault). *)
+let probe t ~span name ~corr ~reason show x =
+  let ring = Flight.enabled t.flight in
+  let spans = span && Span.on () in
+  if ring || spans then begin
+    let args = if reason = "" then [] else [ ("reason", reason) ] in
+    if ring then
+      Flight.record t.flight ~ts:(now t) ~tile:t.m_tile ~cat:"monitor" ~name
+        ~corr ~detail:(show x) ~args ();
+    if spans then
+      Span.instant ~board:(obs_board t) ~corr ~args ~cat:"monitor" ~name
+        ~track:t.m_tile ~ts:(now t) ()
+  end
 
-let trace_msg t dir m =
-  Trace.record_lazy t.trace ~corr:m.Message.corr ~cycle:(now t) ~tile:t.m_tile
-    ~dir (fun () -> Message.summary m)
-
-let log t s = tracef t Trace.Ingress ("note: " ^ s)
+let log t s = probe t ~span:false "note" ~corr:0 ~reason:"" Fun.id s
 
 (* ------------------------------------------------------------------ *)
 (* Egress *)
@@ -182,10 +183,8 @@ let enqueue t entry =
   Perf.incr t.perf Perf.syscalls;
   if not (Fifo.push t.egress.(egress_class t m) entry) then begin
     Perf.incr t.perf Perf.drops;
-    trace_msg t Trace.Dropped m;
-    obs_mark t ~corr:m.Message.corr
-      ~args:[ ("reason", "egress queue full") ]
-      "drop";
+    probe t ~span:true "drop" ~corr:m.Message.corr ~reason:"egress queue full"
+      Message.summary m;
     if m.Message.corr > 0 && not m.Message.is_reply then
       fail_pending t m.Message.corr (Denied "egress queue full");
     t.on_error "egress queue full"
@@ -249,8 +248,7 @@ let process_egress t =
     | Error reason ->
       ignore (Fifo.pop q);
       Perf.incr t.perf Perf.denials;
-      trace_msg t Trace.Denied m;
-      obs_mark t ~corr:m.Message.corr ~args:[ ("reason", reason) ] "deny";
+      probe t ~span:true "deny" ~corr:m.Message.corr ~reason Message.summary m;
       if m.Message.corr > 0 && not m.Message.is_reply then
         fail_pending t m.Message.corr (Denied reason);
       t.on_error reason
@@ -292,8 +290,8 @@ let process_egress t =
         ignore (Fifo.pop q);
         Perf.incr t.perf Perf.msgs_out;
         t.last_progress <- now t;
-        trace_msg t Trace.Egress m;
-        obs_mark t ~corr:m.Message.corr "admit";
+        probe t ~span:true "admit" ~corr:m.Message.corr ~reason:""
+          Message.summary m;
         Stats.Histogram.record t.lat_added
           (now t - m.Message.created_at + t.cfg.check_latency);
         if t.cfg.check_latency = 0 then t.fabric.f_inject m
@@ -527,8 +525,7 @@ let quiesce t ~reason ~notify =
   | Draining _ | Offline -> ()
   | Running ->
     Perf.incr t.perf Perf.faults;
-    tracef t Trace.Fault reason;
-    obs_mark t ~args:[ ("reason", reason) ] "fault";
+    probe t ~span:true "fault" ~corr:0 ~reason Fun.id reason;
     Array.iter Fifo.clear t.egress;
     Queue.clear t.rx;
     Hashtbl.reset t.reply_ok;
@@ -620,20 +617,25 @@ let deliver_reply t (m : Message.t) =
   | Some _ | None ->
     (* Unsolicited or late reply — count and drop. *)
     Perf.incr t.perf Perf.drops;
-    trace_msg t Trace.Dropped m
+    probe t ~span:false "drop" ~corr:m.Message.corr ~reason:"unsolicited reply"
+      Message.summary m
 
 let ingress t (m : Message.t) =
   match t.m_state with
   | Draining _ ->
-    trace_msg t Trace.Dropped m;
+    probe t ~span:false "drop" ~corr:m.Message.corr ~reason:"draining"
+      Message.summary m;
     nack t m "fail-stop"
-  | Offline -> trace_msg t Trace.Dropped m
+  | Offline ->
+    probe t ~span:false "drop" ~corr:m.Message.corr ~reason:"offline"
+      Message.summary m
   | Running ->
     (* Whatever this message triggers (rx work, a reply continuation, a
        control response), the next tick must see it. *)
     Sim.rearm t.m_sim t.m_handle;
     Perf.incr t.perf Perf.msgs_in;
-    trace_msg t Trace.Ingress m;
+    probe t ~span:false "ingress" ~corr:m.Message.corr ~reason:""
+      Message.summary m;
     if m.Message.is_reply then deliver_reply t m
     else begin
       match m.Message.kind with
@@ -710,17 +712,13 @@ let tick t =
       Sim.Busy
     end
 
-let create ?region sim ~tile cfg fabric ~trace ?flight ~privileged behavior =
-  let flight =
-    match flight with Some f -> f | None -> Apiary_obs.Flight.create ()
-  in
+let create ?region sim ~tile cfg fabric ~flight ~privileged behavior =
   let t =
     {
       m_sim = sim;
       m_tile = tile;
       cfg;
       fabric;
-      trace;
       privileged;
       m_rng = Rng.create ~seed:(0x5EED + tile);
       m_store = Store.create ~capacity:cfg.cap_capacity ~tile ();

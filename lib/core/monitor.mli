@@ -68,12 +68,13 @@ type fabric = {
 }
 
 val create :
-  ?region:int -> Sim.t -> tile:int -> config -> fabric -> trace:Trace.t ->
-  ?flight:Apiary_obs.Flight.t -> privileged:bool -> behavior -> t
+  ?region:int -> Sim.t -> tile:int -> config -> fabric ->
+  flight:Apiary_obs.Flight.t -> privileged:bool -> behavior -> t
 (** Create the monitor and register its tick (in activity subregion
     [region], if given). [on_boot] runs in the event phase of the next
-    cycle. [flight] is the board's shared flight recorder (the kernel
-    passes its own); a private disabled one is used when omitted. *)
+    cycle. [flight] is the board's shared event ring (the kernel passes
+    its own): every admit, ingress, deny, drop, fault and {!log} note
+    lands there while it is armed. *)
 
 (** {1 Identity and state} *)
 
@@ -184,7 +185,7 @@ val ping : t -> ?timeout:int -> tile:int -> ep:int -> (bool -> unit) -> unit
 
 val rng : t -> Apiary_engine.Rng.t
 val log : t -> string -> unit
-(** Record a tile-local note into the message trace. *)
+(** Record a tile-local note into the board's event ring. *)
 
 (** {1 Privileged operations (OS services only)} *)
 

@@ -214,25 +214,3 @@ module Histogram = struct
       h.name h.count (mean h) (percentile h 50.0) (percentile h 90.0)
       (percentile h 99.0) h.max_v
 end
-
-module Series = struct
-  type t = {
-    name : string;
-    interval : int;
-    tbl : (int, float ref) Hashtbl.t;
-  }
-
-  let create name ~interval =
-    assert (interval > 0);
-    { name; interval; tbl = Hashtbl.create 64 }
-
-  let record s ~now v =
-    let b = now / s.interval * s.interval in
-    match Hashtbl.find_opt s.tbl b with
-    | Some r -> r := !r +. v
-    | None -> Hashtbl.replace s.tbl b (ref v)
-
-  let buckets s =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) s.tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-end

@@ -1,5 +1,5 @@
-(** Measurement primitives: counters, gauges, log-bucketed histograms and
-    windowed time series.
+(** Measurement primitives: counters, gauges and log-bucketed histograms
+    (windowed time series live in [Apiary_obs.Series]).
 
     Histograms use logarithmic bucketing with linear sub-buckets (HdrHistogram
     style) so percentiles over latencies spanning several orders of magnitude
@@ -91,18 +91,4 @@ module Histogram : sig
 
   val pp_summary : Format.formatter -> t -> unit
   (** One-line [name count mean p50 p90 p99 max] summary. *)
-end
-
-(** Fixed-interval time series, e.g. throughput per epoch. *)
-module Series : sig
-  type t
-
-  val create : string -> interval:int -> t
-  (** [interval] is the bucket width in simulator cycles. *)
-
-  val record : t -> now:int -> float -> unit
-  (** Accumulate a value into the bucket covering cycle [now]. *)
-
-  val buckets : t -> (int * float) list
-  (** [(bucket_start_cycle, accumulated)] pairs, oldest first. *)
 end

@@ -1,9 +1,9 @@
-(* Per-board flight recorder: a bounded ring of the most recent
-   observability events, always armed but recording only when enabled
-   (off by default, so runs without introspection are byte-identical).
-   On a fault or a watchdog trip the ring is frozen into a postmortem
-   JSON dump — the black box that turns a silent fail-stop into an
-   actionable event sequence. *)
+(* Per-board event ring: a bounded ring of the most recent events —
+   the flight recorder and the message trace in one. Off by default (so
+   runs without introspection are byte-identical), its storage allocated
+   by the first event recorded. On a fault or a watchdog trip the ring is
+   frozen into a postmortem JSON dump — the black box that turns a silent
+   fail-stop into an actionable event sequence. *)
 
 type entry = {
   ts : int;
@@ -11,49 +11,77 @@ type entry = {
   cat : string;
   name : string;
   corr : int;
+  detail : string;
   args : (string * string) list;
 }
 
 type t = {
-  ring : entry option array;
+  cap : int;
+  mutable ring : entry array;  (* [||] until the first record *)
   mutable next : int;
   mutable total : int;
   mutable on : bool;
   mutable board : int;
 }
 
-let create ?(capacity = 256) () =
-  assert (capacity > 0);
-  { ring = Array.make capacity None; next = 0; total = 0; on = false; board = -1 }
+let default_capacity = 4096
+
+let create ?capacity () =
+  let cap =
+    match capacity with
+    | Some c -> c
+    | None -> Env.int ~min:16 "APIARY_FLIGHT_CAP" ~default:default_capacity
+  in
+  assert (cap > 0);
+  {
+    cap;
+    ring = [||];
+    next = 0;
+    total = 0;
+    on = Sys.getenv_opt "APIARY_FLIGHT" = Some "1";
+    board = -1;
+  }
 
 let set_enabled t b = t.on <- b
 let enabled t = t.on
 let set_board t id = t.board <- id
 let board t = t.board
-let capacity t = Array.length t.ring
+let capacity t = t.cap
 let total t = t.total
 
-let record t ~ts ~tile ~cat ~name ?(corr = 0) ?(args = []) () =
+let record t ~ts ~tile ~cat ~name ?(corr = 0) ?(detail = "") ?(args = []) () =
   if t.on then begin
-    t.ring.(t.next) <- Some { ts; tile; cat; name; corr; args };
-    t.next <- (t.next + 1) mod Array.length t.ring;
+    let e = { ts; tile; cat; name; corr; detail; args } in
+    if Array.length t.ring = 0 then t.ring <- Array.make t.cap e;
+    t.ring.(t.next) <- e;
+    t.next <- (t.next + 1) mod t.cap;
     t.total <- t.total + 1
   end
 
 let entries t =
-  let n = Array.length t.ring in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    match t.ring.((t.next + i) mod n) with
-    | None -> ()
-    | Some e -> acc := e :: !acc
-  done;
-  !acc
+  (* Until the ring first wraps the oldest entry is slot 0; after, it is
+     the slot about to be overwritten. *)
+  let first = if t.total > t.cap then t.next else 0 in
+  List.init (min t.total t.cap) (fun i -> t.ring.((first + i) mod t.cap))
 
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.next <- 0;
-  t.total <- 0
+let merge ts =
+  List.stable_sort
+    (fun (_, a) (_, b) -> compare a.ts b.ts)
+    (List.concat_map (fun t -> List.map (fun e -> (t.board, e)) (entries t)) ts)
+
+let label e =
+  match e.name with
+  | "admit" -> "out"
+  | "ingress" -> "in"
+  | "deny" -> "DENY"
+  | "fault" -> "FAULT"
+  | name -> name
+
+let pp_entry ppf (board, e) =
+  let board = if board < 0 then "" else Printf.sprintf "b%-2d " board in
+  let corr = if e.corr > 0 then Printf.sprintf " #%d" e.corr else "" in
+  Format.fprintf ppf "[%8d] %stile%-3d %-5s %s%s" e.ts board e.tile (label e)
+    e.detail corr
 
 (* ------------------------------------------------------------------ *)
 (* Postmortem JSON. Byte-stable: entries in ring order, args in
@@ -102,6 +130,10 @@ let dump_json t ~reason ~cycle =
       if e.corr <> 0 then begin
         Buffer.add_string buf ", \"corr\": ";
         Buffer.add_string buf (string_of_int e.corr)
+      end;
+      if e.detail <> "" then begin
+        Buffer.add_string buf ", \"detail\": ";
+        buf_add_json_string buf e.detail
       end;
       if e.args <> [] then begin
         Buffer.add_string buf ", \"args\": {";

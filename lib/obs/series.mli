@@ -17,12 +17,10 @@
     exactly, for both counts and sums.
 
     Timestamps are simulation cycles and every exported value is an
-    integer, so {!json_string} is byte-stable for a fixed capture.
-
-    This module subsumes the simple [Stats.Series] interval accumulator
-    for observability use: that one keeps every bucket forever and only
-    a float sum; this one is bounded and carries full distribution
-    shape. *)
+    integer, so {!json_string} is byte-stable for a fixed capture. It is
+    the repo's only windowed series: sized with [capacity] so no window
+    is evicted, it also serves as a plain per-interval counter (the
+    bench's completions-per-window tables). *)
 
 type t
 

@@ -10,9 +10,9 @@
 
     The recorder is process-global and {b disabled by default}: every
     entry point checks one flag first, so instrumented hot paths pay a
-    single branch when tracing is off (the same discipline as
-    [Trace.record_lazy]). Call sites that would allocate argument lists
-    should guard with {!on} themselves.
+    single branch when tracing is off (the same discipline as the
+    board event ring, {!Flight}). Call sites that would allocate
+    argument lists should guard with {!on} themselves.
 
     Timestamps are simulation cycles — never wall clock — so a capture
     from a fixed-seed run is deterministic and its export byte-stable.

@@ -7,7 +7,7 @@ module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Shell = Apiary_core.Shell
 module Kernel = Apiary_core.Kernel
-module Trace = Apiary_core.Trace
+module Flight = Apiary_obs.Flight
 module Accels = Apiary_accel.Accels
 module Kv = Apiary_accel.Kv
 module Cluster = Apiary_cluster.Cluster
@@ -229,14 +229,14 @@ let test_cluster_local_and_remote_call () =
   (* The merged trace carries both boards' ids. *)
   let boards_seen =
     List.sort_uniq compare
-      (List.filter_map (fun e -> e.Trace.board) (Cluster.merged_trace cluster))
+      (List.map fst (Cluster.merged_trace cluster))
   in
   Alcotest.(check (list int)) "trace attributes both boards" [ 0; 1 ] boards_seen
 
-(* A cross-board RPC reconstructs from one Trace.merge pool: filter by
+(* A cross-board RPC reconstructs from one Flight.merge pool: filter by
    corr on the caller's side of the network hop to recover its
    request/reply pair, then find the far board serving — under its own
-   corr — strictly inside that window (the reconstruction trace.mli
+   corr — strictly inside that window (the reconstruction flight.mli
    documents). *)
 let test_cluster_merged_trace_corr_reconstruction () =
   let eng = Cluster.make_engine ~boards:2 () in
@@ -269,23 +269,23 @@ let test_cluster_merged_trace_corr_reconstruction () =
      (to the net service tile). *)
   let corr =
     List.fold_left
-      (fun acc (e : Trace.event) ->
-        if e.Trace.board = Some 1 && e.Trace.tile = !caller_tile
-           && e.Trace.dir = Trace.Egress
-        then max acc e.Trace.corr
+      (fun acc (board, (e : Flight.entry)) ->
+        if board = 1 && e.Flight.tile = !caller_tile
+           && e.Flight.name = "admit"
+        then max acc e.Flight.corr
         else acc)
       0 merged
   in
   Alcotest.(check bool) "caller sent a correlated request" true (corr > 0);
   let journey =
     List.filter
-      (fun (e : Trace.event) ->
-        e.Trace.board = Some 1 && e.Trace.corr = corr)
+      (fun (board, (e : Flight.entry)) -> board = 1 && e.Flight.corr = corr)
       merged
+    |> List.map snd
   in
   let req =
     match
-      List.find_opt (fun (e : Trace.event) -> e.Trace.dir = Trace.Egress) journey
+      List.find_opt (fun (e : Flight.entry) -> e.Flight.name = "admit") journey
     with
     | Some e -> e
     | None -> Alcotest.fail "no egress under the caller's corr"
@@ -293,23 +293,23 @@ let test_cluster_merged_trace_corr_reconstruction () =
   let rsp =
     match
       List.find_opt
-        (fun (e : Trace.event) ->
-          e.Trace.dir = Trace.Ingress && e.Trace.tile = !caller_tile)
+        (fun (e : Flight.entry) ->
+          e.Flight.name = "ingress" && e.Flight.tile = !caller_tile)
         journey
     with
     | Some e -> e
     | None -> Alcotest.fail "no reply ingress under the caller's corr"
   in
   Alcotest.(check bool) "request precedes reply" true
-    (req.Trace.cycle < rsp.Trace.cycle);
+    (req.Flight.ts < rsp.Flight.ts);
   (* The far board serves the forwarded request under its own corr,
      inside the caller's request/reply window. *)
   let served =
     List.filter
-      (fun (e : Trace.event) ->
-        e.Trace.board = Some 0 && e.Trace.corr > 0
-        && e.Trace.cycle > req.Trace.cycle
-        && e.Trace.cycle < rsp.Trace.cycle)
+      (fun (board, (e : Flight.entry)) ->
+        board = 0 && e.Flight.corr > 0
+        && e.Flight.ts > req.Flight.ts
+        && e.Flight.ts < rsp.Flight.ts)
       merged
   in
   Alcotest.(check bool) "board 0 served inside the window" true (served <> [])

@@ -12,7 +12,7 @@ module Monitor = Apiary_core.Monitor
 module Shell = Apiary_core.Shell
 module Kernel = Apiary_core.Kernel
 module Services = Apiary_core.Services
-module Trace = Apiary_core.Trace
+module Flight = Apiary_obs.Flight
 module Rate_limiter = Apiary_core.Rate_limiter
 module Mesh = Apiary_noc.Mesh
 
@@ -882,38 +882,46 @@ let test_busy_accumulates () =
   | _ -> Alcotest.fail "expected two replies"
 
 let test_trace_ring_wraps () =
-  let tr = Trace.create ~capacity:8 () in
-  Trace.set_enabled tr true;
+  let tr = Flight.create ~capacity:8 () in
+  Flight.set_enabled tr true;
   for c = 1 to 20 do
-    Trace.record tr ~cycle:c ~tile:0 ~dir:Trace.Ingress ~detail:"x" ()
+    Flight.record tr ~ts:c ~tile:0 ~cat:"monitor" ~name:"ingress" ~detail:"x" ()
   done;
-  let evs = Trace.events tr in
+  let evs = Flight.entries tr in
   Alcotest.(check int) "retains capacity" 8 (List.length evs);
-  Alcotest.(check int) "total counted" 20 (Trace.count tr);
+  Alcotest.(check int) "total counted" 20 (Flight.total tr);
   match evs with
-  | first :: _ -> Alcotest.(check int) "oldest retained is 13" 13 first.Trace.cycle
+  | first :: _ -> Alcotest.(check int) "oldest retained is 13" 13 first.Flight.ts
   | [] -> Alcotest.fail "empty"
 
+(* Every monitor site probes the board ring; disarmed (and with spans
+   off), a probe allocates nothing and a whole echo workload (admits,
+   ingresses, notes) leaves the ring empty. *)
 let test_trace_disabled_is_free () =
-  let tr = Trace.create ~capacity:8 () in
-  let blew_up = ref false in
-  Trace.record_lazy tr ~cycle:0 ~tile:0 ~dir:Trace.Egress (fun () ->
-      blew_up := true;
-      "never");
-  Alcotest.(check bool) "lazy detail not built" false !blew_up;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.events tr))
-
-let test_trace_fold () =
-  let tr = Trace.create ~capacity:8 () in
-  Trace.set_enabled tr true;
-  for c = 1 to 12 do
-    Trace.record tr ~cycle:c ~tile:(c mod 3) ~dir:Trace.Egress ~detail:"x" ()
-  done;
-  (* Only the retained window (cycles 5..12) is folded, oldest first. *)
-  let sum = Trace.fold tr ~init:0 ~f:(fun a e -> a + e.Trace.cycle) in
-  Alcotest.(check int) "fold over retained ring" 68 sum;
-  Alcotest.(check int) "agrees with events" sum
-    (List.fold_left (fun a e -> a + e.Trace.cycle) 0 (Trace.events tr))
+  let sim, k = mk_kernel () in
+  Flight.set_enabled (Kernel.flight k) false;
+  Kernel.install k ~tile:1 (echo_behavior "echo");
+  let probe_words = ref nan and empty_words = ref 0.0 in
+  with_client k ~tile:2 (fun sh ->
+      (* Each interval holds one [Gc.minor_words] call's own float; the
+         probe must add nothing to that. *)
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      Shell.log sh "never recorded";
+      let w2 = Gc.minor_words () in
+      empty_words := w1 -. w0;
+      probe_words := w2 -. w1;
+      Shell.connect sh ~service:"echo" (fun r ->
+          match r with
+          | Ok conn -> Shell.request sh conn ~opcode:9 (b "quiet") (fun _ -> ())
+          | Error _ -> ()));
+  Sim.run_for sim 5000;
+  Alcotest.(check (float 0.0)) "disarmed probe allocates nothing" !empty_words
+    !probe_words;
+  Alcotest.(check bool) "traffic flowed" true (Kernel.total_msgs k > 0);
+  Alcotest.(check int) "nothing recorded" 0 (Flight.total (Kernel.flight k));
+  Alcotest.(check int) "nothing retained" 0
+    (List.length (Flight.entries (Kernel.flight k)))
 
 let prop_wire_fuzz_never_crashes =
   QCheck.Test.make ~name:"wire decode never raises on fuzz" ~count:500
@@ -922,11 +930,17 @@ let prop_wire_fuzz_never_crashes =
       match Wire.decode (Bytes.of_string junk) with Ok _ | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
+(* The board event ring as a message trace *)
+
+let count_entries k ~tile ~name =
+  List.length
+    (List.filter
+       (fun (e : Flight.entry) -> e.Flight.tile = tile && e.Flight.name = name)
+       (Flight.entries (Kernel.flight k)))
 
 let test_trace_records_flow () =
   let sim, k = mk_kernel () in
-  Trace.set_enabled (Kernel.trace k) true;
+  Flight.set_enabled (Kernel.flight k) true;
   Kernel.install k ~tile:1 (echo_behavior "echo");
   with_client k ~tile:2 (fun sh ->
       Shell.connect sh ~service:"echo" (fun r ->
@@ -934,10 +948,71 @@ let test_trace_records_flow () =
           | Ok conn -> Shell.request sh conn ~opcode:9 (b "traced") (fun _ -> ())
           | Error _ -> ()));
   Sim.run_for sim 5000;
-  let evs = Trace.events (Kernel.trace k) in
+  let evs = Flight.entries (Kernel.flight k) in
   Alcotest.(check bool) "events recorded" true (List.length evs > 10);
-  let egress_t2 = Trace.find (Kernel.trace k) ~tile:2 ~dir:Trace.Egress () in
-  Alcotest.(check bool) "tile 2 egress seen" true (List.length egress_t2 >= 2)
+  Alcotest.(check bool) "tile 2 egress seen" true
+    (count_entries k ~tile:2 ~name:"admit" >= 2)
+
+(* One probe per site: with the ring armed and never wrapped, each tile's
+   admit entries are exactly its admitted messages, its ingress entries
+   exactly its delivered ones, and each fail-stop leaves one fault. *)
+let test_one_entry_per_site () =
+  let sim, k = mk_kernel () in
+  Flight.set_enabled (Kernel.flight k) true;
+  Kernel.install k ~tile:1 (echo_behavior "echo");
+  let victim name =
+    Shell.behavior name
+      ~on_boot:(fun sh -> Shell.register_service sh name)
+      ~on_message:(fun sh _ -> Shell.raise_fault sh ("injected in " ^ name))
+  in
+  Kernel.install k ~tile:5 (victim "v5");
+  Kernel.install k ~tile:7 (victim "v7");
+  with_client k ~tile:2 (fun sh ->
+      Shell.connect sh ~service:"echo" (fun r ->
+          match r with
+          | Error _ -> ()
+          | Ok conn ->
+            let rec go n =
+              if n > 0 then
+                Shell.request sh conn ~opcode:9 (b "rpc") (fun _ -> go (n - 1))
+            in
+            go 40);
+      List.iter
+        (fun service ->
+          Shell.connect sh ~service (fun r ->
+              match r with
+              | Error _ -> ()
+              | Ok conn ->
+                (* The second send reaches a draining tile. *)
+                Shell.send_data sh conn ~opcode:9 (b "boom");
+                Sim.after (Shell.sim sh) 500 (fun () ->
+                    Shell.send_data sh conn ~opcode:9 (b "late"))))
+        [ "v5"; "v7" ]);
+  Sim.run_for sim 20_000;
+  let f = Kernel.flight k in
+  Alcotest.(check bool) "ring never wrapped" true
+    (Flight.total f <= Flight.capacity f);
+  Alcotest.(check int) "two fail-stops" 2 (List.length (Kernel.faults k));
+  for tile = 0 to Kernel.n_tiles k - 1 do
+    let m = Kernel.monitor k tile in
+    let faults =
+      List.length (List.filter (fun (t, _) -> t = tile) (Kernel.faults k))
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "tile %d admits" tile)
+      (Monitor.msgs_out m)
+      (count_entries k ~tile ~name:"admit");
+    Alcotest.(check int)
+      (Printf.sprintf "tile %d ingresses" tile)
+      (Monitor.msgs_in m)
+      (count_entries k ~tile ~name:"ingress");
+    Alcotest.(check int)
+      (Printf.sprintf "tile %d faults" tile)
+      faults
+      (count_entries k ~tile ~name:"fault")
+  done;
+  Alcotest.(check bool) "echo traffic recorded" true
+    (count_entries k ~tile:2 ~name:"admit" >= 40)
 
 let test_monitor_added_latency_enforce_vs_off () =
   (* Enforcing monitor with a 2-cycle check pipeline vs a raw pass-through
@@ -1037,12 +1112,12 @@ let () =
           Alcotest.test_case "busy accumulates" `Quick test_busy_accumulates;
           Alcotest.test_case "trace ring wraps" `Quick test_trace_ring_wraps;
           Alcotest.test_case "trace disabled free" `Quick test_trace_disabled_is_free;
-          Alcotest.test_case "trace fold" `Quick test_trace_fold;
           qc prop_wire_fuzz_never_crashes;
         ] );
       ( "observability",
         [
           Alcotest.test_case "trace flow" `Quick test_trace_records_flow;
+          Alcotest.test_case "one entry per site" `Quick test_one_entry_per_site;
           Alcotest.test_case "monitor latency" `Quick test_monitor_added_latency_enforce_vs_off;
         ] );
     ]

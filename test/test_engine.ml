@@ -765,14 +765,6 @@ let prop_activity_hints_identical_delivery =
       in
       run ~hints:false = run ~hints:true)
 
-let test_series () =
-  let s = Stats.Series.create "t" ~interval:100 in
-  Stats.Series.record s ~now:5 1.0;
-  Stats.Series.record s ~now:50 2.0;
-  Stats.Series.record s ~now:150 4.0;
-  Alcotest.(check (list (pair int (float 0.001))))
-    "buckets" [ (0, 3.0); (100, 4.0) ] (Stats.Series.buckets s)
-
 
 let test_sim_every_with_start () =
   let sim = Sim.create () in
@@ -878,5 +870,4 @@ let () =
             test_fifo_push_wakes_quiescent_sim;
           qc prop_fifo_model;
         ] );
-      ("series", [ Alcotest.test_case "buckets" `Quick test_series ]);
     ]

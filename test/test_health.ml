@@ -203,7 +203,25 @@ let test_flight_ring_bounded () =
           let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
           go 0
         in
-        has doc "\"events\"" && has doc "\"recorded\": 40"))
+        has doc "\"events\"" && has doc "\"recorded\": 40"));
+  (* APIARY_FLIGHT_CAP has one parser, in Flight.create: a ring built
+     without an explicit capacity (every kernel's) reads it, and a value
+     that is not an integer >= 16 falls back to the default. *)
+  let cap_with v =
+    Unix.putenv "APIARY_FLIGHT_CAP" v;
+    Flight.capacity (Flight.create ())
+  in
+  Alcotest.(check int) "env sizes the ring" 64 (cap_with "64");
+  let _, k = mk_kernel () in
+  Alcotest.(check int) "kernel ring reads the same knob" 64
+    (Flight.capacity (Kernel.flight k));
+  Alcotest.(check int) "explicit capacity wins" 16
+    (Flight.capacity (Flight.create ~capacity:16 ()));
+  Alcotest.(check int) "below 16 falls back" Flight.default_capacity
+    (cap_with "8");
+  Alcotest.(check int) "garbage falls back" Flight.default_capacity
+    (cap_with "lots");
+  Unix.putenv "APIARY_FLIGHT_CAP" (string_of_int Flight.default_capacity)
 
 let test_flight_postmortem_on_fault () =
   let sim, k = mk_kernel () in

@@ -15,7 +15,7 @@ module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Rng = Apiary_engine.Rng
 module Stats = Apiary_engine.Stats
-module Trace = Apiary_core.Trace
+module Flight = Apiary_obs.Flight
 module Mesh = Apiary_noc.Mesh
 module Traffic = Apiary_noc.Traffic
 module Coord = Apiary_noc.Coord
@@ -155,7 +155,7 @@ let test_mesh_disciplines_agree () =
 (* Rack cross-check (E12-small shape): Seq vs Par *)
 
 let event_to_string e =
-  Format.asprintf "%a" Trace.pp_event e
+  Format.asprintf "%a" Flight.pp_entry e
 
 let run_rack ?domains mode cycles =
   let boards = 2 in
