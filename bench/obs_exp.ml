@@ -7,8 +7,9 @@
      polls board-wide counters at increasing rates.
    - e13b: failure detection. The same 4-board kill drill as E12d run
      twice: once with PR 2's client-side request timeouts as the only
-     detector, once with the rack heartbeat watchdog feeding
-     Cluster.on_board_down so clients reshard and reissue immediately.
+     detector, once with the collector's liveness sweep (the agents'
+     heartbeat batches) feeding Cluster.on_board_down so clients
+     reshard and reissue immediately.
    - e13c: the fault flight recorder. Inject a fail-stop mid-workload,
      dump the board's ring as postmortem JSON, and check the tail of
      the story it tells.
@@ -31,7 +32,7 @@ module Flight = Apiary_obs.Flight
 module Span = Apiary_obs.Span
 module Critical_path = Apiary_obs.Critical_path
 module Cluster = Apiary_cluster.Cluster
-module Rack_health = Apiary_cluster.Rack_health
+module Collector = Apiary_cluster.Collector
 module Shard_client = Apiary_cluster.Shard_client
 open Bench_util
 
@@ -106,7 +107,7 @@ let e13a_run ~read_period ~duration =
    (kill one of four boards, no restore) with the recovery window —
    kill to first bucket back at >=90% of pre-kill throughput — as the
    figure of merit. [`Timeout] is PR 2's baseline; [`Watchdog] adds
-   the rack heartbeat monitor. *)
+   the collector's liveness sweep over 500-cycle agent heartbeats. *)
 
 let e13b_run ~detector ~duration ~kill_at ~interval =
   let boards = 4 and victim = 2 in
@@ -129,7 +130,9 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
           match detector with
           | `Timeout -> None
           | `Watchdog ->
-            Some (Rack_health.create ~hb_period:500 ~deadline:3_000 cluster)
+            let col = Collector.create ~agent_period:500 cluster in
+            Collector.watch_liveness col;
+            Some col
         in
         let clients =
           List.init 2 (fun _ ->
@@ -146,6 +149,7 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
         Sim.after sim kill_at (fun () -> Cluster.kill cluster ~board:victim);
         fun () ->
           List.iter Shard_client.stop clients;
+          Option.iter Collector.detach watchdog;
           (watchdog, clients))
   in
   let buckets = window_counts series "e13b" ~duration in
@@ -174,7 +178,7 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
     match watchdog with
     | None -> None
     | Some w -> (
-      match List.find_opt (fun (_, b) -> b = victim) (Rack_health.detections w) with
+      match List.find_opt (fun (_, b) -> b = victim) (Collector.detections w) with
       | Some (cyc, _) -> Some (cyc - kill_at)
       | None -> None)
   in

@@ -1,6 +1,7 @@
 (* E14 — elastic multi-tenant scheduling: SLO attainment and provisioned
    capacity, elastic scheduler vs static placement, with and without
-   migration; plus a board-kill drill through the watchdog alarm path.
+   migration; plus a board-kill drill detected by the collector's
+   liveness sweep.
 
    Three tenants share one rack under a diurnal + flash-crowd load
    trace:
@@ -30,7 +31,7 @@ module Stats = Apiary_engine.Stats
 module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Shard_client = Apiary_cluster.Shard_client
-module Rack_health = Apiary_cluster.Rack_health
+module Collector = Apiary_cluster.Collector
 module Placer = Apiary_sched.Placer
 module Sched = Apiary_sched.Sched
 module Slo = Apiary_obs.Slo
@@ -172,7 +173,7 @@ type run_result = {
   totals : Sched.totals option;
   failovers : int;
   client_errors : int;
-  detections : (int * int) list;  (* rack watchdog (cycle, board) *)
+  detections : (int * int) list;  (* collector liveness (cycle, board) *)
   decisions_json : string option;
   slo_json : string option;  (* Sched.slo_report_json (elastic only) *)
   slos : (string * slo_summary) list;  (* per-tenant extracts (elastic only) *)
@@ -189,6 +190,12 @@ let variant_name = function
 
 let run_variant ~variant ~boards ~duration ~kill =
   with_rack ~boards ~clients:5 ~duration (fun sim cluster ->
+      (* The rack's one telemetry transport: board load and alarms for
+         the scheduler, and liveness for the kill drill (failure
+         detection rides the agents' heartbeat batches, not client
+         timeouts). *)
+      let col = Collector.create ~agent_period:500 cluster in
+      Collector.watch_liveness col;
       let caps =
         List.init boards (fun b ->
             { Placer.board = b; tiles = 4; slot_cells = slot_cells b })
@@ -226,7 +233,8 @@ let run_variant ~variant ~boards ~duration ~kill =
               Sched.default_config with
               Sched.report_period = 4_000;
               (* A saturated board at these service times moves ~40
-                 msgs/beacon, an idle one under 12 (calibrated). *)
+                 msgs per report period, an idle one under 12
+                 (calibrated). *)
               hot_load = (if migration then 30 else max_int / 2);
               cold_load = 12;
               cooldown = 60_000;
@@ -238,7 +246,9 @@ let run_variant ~variant ~boards ~duration ~kill =
               slo_min_samples = 4;
             }
           in
-          let sched = Sched.create ~config:cfg cluster ~slot_cells in
+          let sched =
+            Sched.create ~config:cfg ~collector:col cluster ~slot_cells
+          in
           List.iter
             (fun spec ->
               Sched.add_tenant sched ~spec ~behavior:(behavior_of spec))
@@ -267,17 +277,6 @@ let run_variant ~variant ~boards ~duration ~kill =
               (Option.value ~default:[]
                  (List.assoc_opt spec.Placer.name static_placement)))
           clients);
-      (match sched with
-      | Some sched when Sys.getenv_opt "APIARY_E14_DEBUG" <> None ->
-        Sim.every sim ~start:20_000 20_000 (fun () ->
-            Printf.printf "t=%7d loads:%s\n" (Sim.now sim)
-              (String.concat ""
-                 (List.init boards (fun b ->
-                      Printf.sprintf " %4d" (Sched.board_load sched b)))))
-      | _ -> ());
-      (* The rack watchdog: failure detection for the drill rides the
-         heartbeat/alarm path, not client timeouts. *)
-      let health = Rack_health.create cluster in
       drive_load sim ~duration ~web ~ml ~burst;
       let victim = ref (-1) in
       (match kill with
@@ -298,15 +297,7 @@ let run_variant ~variant ~boards ~duration ~kill =
             Cluster.kill cluster ~board:b));
       fun () ->
         List.iter (fun (_, c) -> Shard_client.stop c) clients;
-        if Sys.getenv_opt "APIARY_E14_DEBUG" <> None then
-          List.iter
-            (fun ((spec : Placer.tenant), c) ->
-              Printf.printf
-                "dbg %-6s issued %d completed %d errors %d failovers %d\n"
-                spec.Placer.name (Shard_client.issued c)
-                (Shard_client.completed c) (Shard_client.errors c)
-                (Shard_client.failovers c))
-            clients;
+        Collector.detach col;
         let now = duration in
         let per_tenant =
           List.map
@@ -341,7 +332,7 @@ let run_variant ~variant ~boards ~duration ~kill =
           client_errors =
             List.fold_left (fun a (_, c) -> a + Shard_client.errors c) 0
               clients;
-          detections = Rack_health.detections health;
+          detections = Collector.detections col;
           decisions_json = Option.map Sched.decisions_json sched;
           slo_json = Option.map Sched.slo_report_json sched;
           slos =
@@ -436,15 +427,6 @@ let e14 () =
     \ migration additionally drains congested boards)\n"
     (List.fold_left (fun a (s : Placer.tenant) -> a + s.Placer.max_replicas) 0 specs);
 
-  (* The migrating run's decision log is the artifact CI validates. *)
-  (match List.assoc (Elastic { migration = true }) results with
-  | { decisions_json = Some json; _ } ->
-    let oc = open_out "BENCH_e14_decisions.json" in
-    output_string oc json;
-    close_out oc;
-    Printf.printf "decision log -> BENCH_e14_decisions.json\n"
-  | _ -> ());
-
   subhead "E14b: board-kill drill (watchdog alarm path, elastic+mig)";
   let kill_at = duration / 2 in
   let r =
@@ -481,6 +463,15 @@ let e14 () =
     "(the watchdog's report_down reaches the scheduler and the shard\n\
     \ clients in the same announcement: displaced tenants are re-placed\n\
     \ and in-flight work reissued without waiting out request timeouts)\n";
+  (* The drill's decision log is the artifact CI validates: a migrating
+     run that must also show the board_down and its replace. *)
+  Option.iter
+    (fun json ->
+      let oc = open_out "BENCH_e14_decisions.json" in
+      output_string oc json;
+      close_out oc;
+      Printf.printf "decision log -> BENCH_e14_decisions.json\n")
+    r.decisions_json;
 
   subhead "E14c: burn-rate alerting (lib/obs/slo, elastic+mig)";
   let em = List.assoc (Elastic { migration = true }) results in

@@ -508,7 +508,7 @@ let area_cmd part tiles cap_entries flit_bits =
 
 module Cluster = Apiary_cluster.Cluster
 module Shard_client = Apiary_cluster.Shard_client
-module Rack_health = Apiary_cluster.Rack_health
+module Collector = Apiary_cluster.Collector
 module Sched = Apiary_sched.Sched
 module Placer = Apiary_sched.Placer
 
@@ -516,8 +516,8 @@ module Placer = Apiary_sched.Placer
    tenants (a diurnal "web", a big-part-only "ml", a flash-crowd
    "burst") share --boards boards, the scheduler places/migrates/
    autoscales, and the decision log lands in --decisions-out. With
-   --kill, a board serving web is downed mid-run and the watchdog alarm
-   path re-places its tenants. The run is deterministic. The same demo
+   --kill, a board serving web is downed mid-run, the collector's
+   liveness sweep reports it, and the scheduler re-places its tenants. The run is deterministic. The same demo
    backs `apiary slo`, which reports the tenants' error budgets and
    burn-rate alerts instead of the placement table. The rack runs on
    the partitioned engine's Seq mode, the reference schedule. *)
@@ -572,7 +572,11 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
         cooldown = 60_000;
       }
     in
-    let sched = Sched.create ~config:cfg cluster ~slot_cells in
+    (* One telemetry transport: the agents' batches carry board load and
+       alarms to the scheduler and, as heartbeats, board liveness. *)
+    let col = Collector.create ~agent_period:500 cluster in
+    Collector.watch_liveness col;
+    let sched = Sched.create ~config:cfg ~collector:col cluster ~slot_cells in
     List.iter
       (fun s -> Sched.add_tenant sched ~spec:s ~behavior:(behavior_of s))
       specs;
@@ -590,7 +594,6 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
     in
     Sched.start sched;
     Sched.register_metrics sched;
-    let health = Rack_health.create cluster in
     let client name = List.assq (List.find (fun s -> s.Placer.name = name) specs) clients in
     let ramp name at extra =
       Sim.after sim at (fun () ->
@@ -622,7 +625,7 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
           | [] -> ());
     Apiary_engine.Par_sim.run_for eng cycles;
     List.iter (fun (_, c) -> Shard_client.stop c) clients;
-    (sched, clients, health, !victim)
+    (sched, clients, col, !victim)
   end
 
 let sched_cmd boards cycles kill decisions_out =
@@ -631,7 +634,7 @@ let sched_cmd boards cycles kill decisions_out =
     1
   end
   else begin
-    let sched, clients, health, victim =
+    let sched, clients, col, victim =
       run_sched_demo ~boards ~cycles ~kill ()
     in
     Printf.printf "%-6s %10s %8s %6s %9s %9s\n" "tenant" "completed" "slo%"
@@ -655,7 +658,7 @@ let sched_cmd boards cycles kill decisions_out =
       t.Sched.placements t.Sched.migrations t.Sched.scale_ups
       t.Sched.scale_downs t.Sched.deferred t.Sched.replaced;
     if kill && victim >= 0 then
-      (match List.find_opt (fun (_, b) -> b = victim) (Rack_health.detections health) with
+      (match List.find_opt (fun (_, b) -> b = victim) (Collector.detections col) with
       | Some (cyc, b) ->
         Printf.printf "watchdog: board %d declared down at cycle %d\n" b cyc
       | None -> Printf.printf "watchdog: kill not detected (run too short?)\n");
@@ -675,7 +678,7 @@ let slo_cmd boards cycles kill json report_out =
     1
   end
   else begin
-    let sched, clients, _health, _victim =
+    let sched, clients, _col, _victim =
       run_sched_demo ~echo:(not json) ~boards ~cycles ~kill ()
     in
     if json then begin

@@ -147,7 +147,7 @@ let kill t ~board =
 let on_board_up t f = t.on_up <- t.on_up @ [ f ]
 let on_board_down t f = t.on_down <- t.on_down @ [ f ]
 
-(* A failure *detection* (the rack watchdog missing heartbeats, not the
+(* A failure *detection* (the collector missing heartbeats, not the
    injection itself — kill notifies nobody): unregister the board's
    replicas and push the news to subscribers, so shard rings and load
    balancers stop aiming at the corpse before their own request

@@ -103,9 +103,9 @@ val on_board_up : t -> (int -> unit) -> unit
 
 val on_board_down : t -> (int -> unit) -> unit
 (** Subscribe to failure {e detections}. {!kill} itself notifies nobody;
-    this fires when a detector — the {!Rack_health} watchdog missing
-    heartbeats — calls {!report_down}, letting clients fail over ahead
-    of their own request timeouts. *)
+    this fires when a detector — the {!Collector}'s liveness sweep
+    missing a board's heartbeat batches — calls {!report_down}, letting
+    clients fail over ahead of their own request timeouts. *)
 
 val report_down : t -> board:int -> unit
 (** Declare a board failed: unregister its directory replicas and fire

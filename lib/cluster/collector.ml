@@ -8,6 +8,11 @@
    Chrome trace, and service outcomes fan out to subscribers (the
    scheduler's SLO path).
 
+   Liveness rides the same stream: an agent with nothing to ship still
+   flushes a header-only batch every period, so a board silent for
+   [liveness_periods] agent periods is dead. [watch_liveness] arms the
+   sweep that reports it through [Cluster.report_down].
+
    Accounting is conservation-exact per board: the agent counts what it
    emitted, dropped (bounded-queue, oldest first) and sent; cumulative
    counts in every batch header let the collector compute wire loss
@@ -45,6 +50,11 @@ type stream = {
   mutable last_agent_ts : int;  (* agent-side cycle of the last batch *)
   mutable last_rx : int;  (* collector-side cycle of the last batch *)
   mutable decode_errors : int;
+  (* Latest value per gauge name. Owned by this collector, unlike the
+     process-wide Registry mirror, so a reader never sees a value left
+     there by an earlier run or lost to a Registry.clear. *)
+  gauges : (string, float) Hashtbl.t;
+  mutable alive : bool;  (* the liveness sweep's belief *)
 }
 
 type outcome = {
@@ -56,6 +66,9 @@ type outcome = {
 
 type t = {
   sim : Sim.t;
+  cluster : Cluster.t;
+  agent_period : int;
+  until : int;  (* agents tick no later than this *)
   mac : Mac.t;
   my_mac : int;
   streams : stream array;
@@ -68,6 +81,7 @@ type t = {
   mutable spans_dropped : int;
   mutable rx_frames : int;
   mutable on_outcome : (now:int -> outcome -> unit) list;
+  mutable detections : (int * int) list;  (* (cycle, board), newest first *)
 }
 
 let exemplar_for t name =
@@ -103,6 +117,7 @@ let apply_record t ~board ~now = function
   | Wire.Counter_delta (name, d) ->
     Stats.Counter.add (Obs.Registry.counter (collected_name board name)) d
   | Wire.Gauge_value (name, v) ->
+    Hashtbl.replace t.streams.(board).gauges name v;
     Stats.Gauge.set (Obs.Registry.gauge (collected_name board name)) v
   | Wire.Hist_delta (name, deltas) ->
     let h = Obs.Registry.histogram (collected_name board name) in
@@ -162,6 +177,10 @@ let handle_frame t (f : Frame.t) =
         st.last_agent_ts <- b.Wire.b_ts;
         let now = Sim.now t.sim in
         st.last_rx <- now;
+        (* A batch from a board we declared dead: it is back on the
+           network. Re-admission to rings and directory still comes from
+           Cluster.restore; this only re-arms detection. *)
+        st.alive <- true;
         List.iter
           (fun r ->
             st.delivered <- st.delivered + 1;
@@ -193,6 +212,8 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
           last_agent_ts = 0;
           last_rx = 0;
           decode_errors = 0;
+          gauges = Hashtbl.create 16;
+          alive = true;
         })
   in
   let agents =
@@ -219,6 +240,9 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
   let t =
     {
       sim;
+      cluster;
+      agent_period = Option.value agent_period ~default:Agent.default_period;
+      until = Option.value agent_until ~default:max_int;
       mac;
       my_mac;
       streams;
@@ -231,12 +255,13 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
       spans_dropped = 0;
       rx_frames = 0;
       on_outcome = [];
+      detections = [];
     }
   in
   Mac.set_rx mac (fun f -> handle_frame t f);
-  (* Teach the ToR our port before the first batch needs delivering
-     (see Rack_health: a self-addressed frame is learned, then
-     discarded). *)
+  (* Teach the ToR our port before the first batch needs delivering: a
+     self-addressed frame makes the switch learn our source port, and is
+     then discarded (its destination is behind the port it arrived on). *)
   Sim.after sim 1 (fun () ->
       ignore
         (Mac.send t.mac
@@ -244,6 +269,35 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
               (Bytes.of_string "teach"))));
   t
 
+(* ------------------------------------------------------------------ *)
+(* Liveness.
+
+   Every agent flushes at least a header-only batch each period, so
+   silence is failure. The sweep runs on the rack simulator every agent
+   period, starting one deadline after boot so the first batches have
+   crossed uplink and switch, and reports each up->down transition once
+   (Cluster.report_down is not idempotent). It stops at [until]: agents
+   quiesced on purpose are never reported dead. *)
+
+let liveness_periods = 6
+
+let watch_liveness t =
+  let deadline = liveness_periods * t.agent_period in
+  Sim.every t.sim ~start:deadline t.agent_period (fun () ->
+      let now = Sim.now t.sim in
+      if now <= t.until then
+        Array.iter
+          (fun st ->
+            if st.alive && now - st.last_rx > deadline then begin
+              st.alive <- false;
+              t.detections <- (now, st.st_board) :: t.detections;
+              Cluster.report_down t.cluster ~board:st.st_board
+            end)
+          t.streams)
+
+let detections t = List.rev t.detections
+let agent_period t = t.agent_period
+let gauge t ~board name = Hashtbl.find_opt t.streams.(board).gauges name
 let detach t = Array.iter Agent.detach t.agents
 let agent t board = t.agents.(board)
 let n_boards t = Array.length t.streams

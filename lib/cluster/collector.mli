@@ -17,6 +17,12 @@
     - {!on_service_outcome} subscribers (the scheduler's collected SLO
       feed).
 
+    The same stream carries board liveness. An agent with nothing to
+    ship still flushes a header-only batch every period, so every live
+    board is heard from once per agent period. {!watch_liveness} turns
+    silence into {!Cluster.report_down}; there is no separate heartbeat
+    format or port.
+
     Accounting is conservation-exact per board (see
     {!conservation_json_string}): cumulative sent/dropped counts in
     every batch header plus sequence-gap detection make
@@ -59,6 +65,31 @@ val create :
     windows; [span_cap] (default 65_536) bounds retained collected
     spans (overflow is counted, and reported as [trace_truncated] by
     the trace export). *)
+
+val watch_liveness : t -> unit
+(** Arm the liveness sweep (opt-in: a caller with its own failure
+    detector leaves it off, since {!Cluster.report_down} is not
+    idempotent). Every agent period, starting one deadline after boot,
+    a board whose last batch arrived more than [6 × agent period] cycles
+    ago is declared down via {!Cluster.report_down}, once per up→down
+    transition. Detection lag is about the deadline plus one period:
+    3,500 cycles at a 500-cycle agent period (E13b).
+    A fresh batch re-arms the board (ring re-admission still comes from
+    {!Cluster.restore}). The sweep stops after [agent_until], so agents
+    quiesced on purpose are never reported dead. *)
+
+val detections : t -> (int * int) list
+(** [(cycle, board)] failure declarations by the liveness sweep, oldest
+    first. *)
+
+val agent_period : t -> int
+(** The agents' harvest/flush period, cycles. *)
+
+val gauge : t -> board:int -> string -> float option
+(** The latest delivered value of a board gauge, by the name the board
+    published it under (e.g. [b2.sched.t3.msgs_in]); [None] until a record
+    for it arrives. Gauges are absolute, so a lost record only delays
+    the value: the next delivered one overwrites it. *)
 
 val detach : t -> unit
 (** Detach every agent (stops their ticks and removes span sinks).

@@ -30,7 +30,7 @@ module Stats = Apiary_engine.Stats
 module Wire = struct
   (* Batch payload, big-endian throughout:
 
-     header (17 bytes):
+     header (21 bytes):
        magic "TB" | board u8 | seq u32 | ts u32
        | cum_records u32 (records sent in all PRIOR batches)
        | cum_dropped u32 (records dropped at the agent so far)
@@ -52,7 +52,7 @@ module Wire = struct
      ever sent and dropped before it. *)
 
   let magic = "TB"
-  let header_bytes = 17
+  let header_bytes = 21
 
   type span_done = {
     s_name : string;
@@ -369,7 +369,26 @@ let harvest t =
           enqueue t (Wire.encode_record (Wire.Hist_delta (name, deltas))))
     (Registry.snapshot_prefix t.prefix)
 
+let send_batch t ~now records =
+  let payload =
+    Wire.encode_batch ~board:t.board ~seq:(t.seq + 1) ~ts:now
+      ~cum_records:t.sent_records ~cum_dropped:t.dropped records
+  in
+  let ok = t.send payload in
+  if ok then begin
+    t.seq <- t.seq + 1;
+    t.sent_records <- t.sent_records + List.length records;
+    t.sent_batches <- t.sent_batches + 1;
+    t.sent_bytes <- t.sent_bytes + Bytes.length payload
+  end
+  else t.backpressure <- t.backpressure + 1;
+  ok
+
 let flush t ~now =
+  (* An empty queue still ships one header-only batch: that batch is the
+     board's heartbeat, so the collector hears from an idle board once
+     per period. *)
+  if t.q.len = 0 then ignore (send_batch t ~now []);
   let frames = ref 0 in
   while !frames < t.max_frames && t.q.len > 0 do
     (* Fill one batch from the queue front without consuming, so a
@@ -392,25 +411,11 @@ let flush t ~now =
       dq_drop_front t.q 1;
       t.dropped <- t.dropped + 1
     end
-    else begin
-      let payload =
-        Wire.encode_batch ~board:t.board ~seq:(t.seq + 1) ~ts:now
-          ~cum_records:t.sent_records ~cum_dropped:t.dropped
-          (List.rev !records)
-      in
-      if t.send payload then begin
-        dq_drop_front t.q !taken;
-        t.seq <- t.seq + 1;
-        t.sent_records <- t.sent_records + !taken;
-        t.sent_batches <- t.sent_batches + 1;
-        t.sent_bytes <- t.sent_bytes + Bytes.length payload;
-        incr frames
-      end
-      else begin
-        t.backpressure <- t.backpressure + 1;
-        frames := t.max_frames (* device is full; retry next tick *)
-      end
+    else if send_batch t ~now (List.rev !records) then begin
+      dq_drop_front t.q !taken;
+      incr frames
     end
+    else frames := t.max_frames (* device is full; retry next tick *)
   done
 
 let tick t ~now =
@@ -450,8 +455,7 @@ let create ?(period = default_period) ?(queue_cap = default_queue)
   in
   Span.set_sink ~board (fun ev -> on_span t ev);
   (* Staggered by board id so the ToR never sees a synchronized burst
-     of telemetry from every board at once (same discipline as the
-     health beacons). *)
+     of telemetry from every board at once. *)
   Sim.every sim ~start:(period + board) period (fun () ->
       (* [until] quiesces the uplink before a run's end so conservation
          can be read with the wire provably empty: whatever the agent

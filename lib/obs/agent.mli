@@ -16,6 +16,11 @@
     ([emitted = delivered + dropped + in-flight], per board) stays
     exact even when drop notifications themselves are lost.
 
+    A tick that finds the queue empty still flushes one header-only
+    batch. That batch is the board's heartbeat: the collector hears from
+    every live board once per [period], even one with no instruments and
+    no spans, and declares a board down from its silence.
+
     This module knows nothing about frames or MACs: [send] receives the
     encoded batch payload and returns [false] on device backpressure
     (the records stay queued and retry next tick).

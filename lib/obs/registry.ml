@@ -61,8 +61,13 @@ let register name i = with_lock (fun () -> Hashtbl.replace instruments name i)
 
 let add_sampler ~name f = with_lock (fun () -> Hashtbl.replace samplers name f)
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+(* Filter before sorting: an agent harvests its prefix every period,
+   and the registry holds every board's instruments plus the collected
+   mirrors. *)
+let sorted_bindings ?(prefix = "") tbl =
+  Hashtbl.fold
+    (fun k v acc -> if String.starts_with ~prefix k then (k, v) :: acc else acc)
+    tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let sample () =
@@ -79,17 +84,12 @@ let snapshot () =
    partitioned engine forbids mid-run. *)
 
 let sample_prefix prefix =
-  let fns = with_lock (fun () -> sorted_bindings samplers) in
-  List.iter
-    (fun (name, f) -> if String.starts_with ~prefix name then f ())
-    fns
+  let fns = with_lock (fun () -> sorted_bindings ~prefix samplers) in
+  List.iter (fun (_, f) -> f ()) fns
 
 let snapshot_prefix prefix =
   sample_prefix prefix;
-  with_lock (fun () ->
-      List.filter
-        (fun (name, _) -> String.starts_with ~prefix name)
-        (sorted_bindings instruments))
+  with_lock (fun () -> sorted_bindings ~prefix instruments)
 
 let reset () =
   with_lock (fun () ->

@@ -3,13 +3,13 @@
 
    Partition discipline (what keeps Seq and Par byte-identical): every
    piece of scheduler state here is member-0 (controller) state, touched
-   only from controller events — the epoch timer, beacon/alarm frame
-   receipt on the controller NIC, and Cluster's board up/down
+   only from controller events — the epoch and telemetry timers (which
+   read what the rack Collector received), and Cluster's board up/down
    announcements. Board fabrics are touched only through thunks staged
    with Cluster.post_to_board (>= one uplink of latency, identical in
-   Seq and Par modes) and through board-side periodic events armed before
-   the run starts. Completion times of installs and migrations are
-   *predicted* controller-side from deterministic cost constants rather
+   Seq and Par modes) and through board-side samplers and health sweeps
+   armed before the run starts. Completion times of installs and
+   migrations are *predicted* controller-side from deterministic cost constants rather
    than signalled back, so no board->controller post is ever needed. *)
 
 module Sim = Apiary_engine.Sim
@@ -23,9 +23,6 @@ module Kernel = Apiary_core.Kernel
 module Shell = Apiary_core.Shell
 module Health = Apiary_core.Health
 module Statsvc = Apiary_core.Statsvc
-module Mac = Apiary_net.Mac
-module Frame = Apiary_net.Frame
-module Board = Apiary_apps.Board
 module Cluster = Apiary_cluster.Cluster
 module Node = Apiary_cluster.Node
 module Collector = Apiary_cluster.Collector
@@ -127,19 +124,19 @@ type bstate = {
   caps : Placer.board_caps;
   mutable pool : int list;  (* free schedulable tiles *)
   mutable alive : bool;
-  mutable load : int;  (* msgs_in delta, last beacon *)
-  mutable busy : int;  (* router-busy delta, last beacon *)
-  mutable tile_msgs : int array;  (* per-tile msgs_in delta, last beacon *)
+  mutable load : int;  (* msgs_in over the last report_period *)
+  mutable tile_msgs : int array;  (* per-tile msgs_in, same window *)
   mutable congested : bool;  (* router-congestion alarm this epoch *)
-  mutable stuck_alarms : int;
+  (* the cumulative collected gauges at the previous telemetry sample *)
+  mutable last_tile : int array;
+  mutable last_alarms : int;
 }
 
 type t = {
   cluster : Cluster.t;
   sim : Sim.t;
   cfg : config;
-  mac : Mac.t;
-  my_mac : int;
+  mutable collector : Collector.t option;  (* the only telemetry input *)
   flight : Flight.t;  (* controller flight ring: burn alerts land here *)
   boards : bstate array;
   mutable tenants : tenant list;  (* add_tenant order *)
@@ -497,7 +494,7 @@ let epoch_tick t =
   Array.iter (fun b -> b.congested <- false) t.boards
 
 (* ------------------------------------------------------------------ *)
-(* Failure handling (the Rack_health alarm path) *)
+(* Failure handling (Cluster.report_down from the rack's detector) *)
 
 let handle_board_down t b =
   let bs = t.boards.(b) in
@@ -534,115 +531,75 @@ let handle_board_up t _b =
   List.iter (fun ten -> sync_client t ten) t.tenants
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry plane *)
+(* Telemetry plane
 
-let lr_magic = "LR"
-let sa_magic = "SA"
+   Board side: a Registry sampler under the board's [b<id>.] prefix,
+   which the board's push agent runs at every harvest. It publishes the
+   stat service's cumulative per-tile message counts and the Health
+   layer's congestion-alarm count as gauges; gauges are absolute, so a
+   record lost on the wire is overwritten by the next. Controller side:
+   every [report_period] the scheduler reads the latest values the
+   Collector received and differences them against the previous
+   sample. Board load is the sum of the tile loads: only monitors count
+   messages in, so that sum is the stat service's board-wide figure. *)
 
-let handle_frame t (f : Frame.t) =
-  if f.Frame.dst <> t.my_mac then ()
-  else
-    let p = f.Frame.payload in
-    if Bytes.length p < 4 then ()
-    else
-      match Bytes.sub_string p 0 2 with
-      | "LR" when Bytes.length p >= 12 ->
-        let b = Bytes.get_uint8 p 2 in
-        if b < Array.length t.boards && t.boards.(b).alive then begin
-          let bs = t.boards.(b) in
-          let ntiles = Bytes.get_uint8 p 3 in
-          bs.busy <- Int32.to_int (Bytes.get_int32_be p 4);
-          bs.load <- Int32.to_int (Bytes.get_int32_be p 8);
-          if Bytes.length p >= 12 + (2 * ntiles) then begin
-            if Array.length bs.tile_msgs <> ntiles then
-              bs.tile_msgs <- Array.make ntiles 0;
-            for tl = 0 to ntiles - 1 do
-              bs.tile_msgs.(tl) <- Bytes.get_uint16_be p (12 + (2 * tl))
-            done
-          end
-        end
-      | "SA" when Bytes.length p >= 5 ->
-        let b = Bytes.get_uint8 p 2 in
-        if b < Array.length t.boards && t.boards.(b).alive then
-          if Bytes.get_uint8 p 3 = 1 then t.boards.(b).congested <- true
-          else t.boards.(b).stuck_alarms <- t.boards.(b).stuck_alarms + 1
-      | _ -> ()
+let gauge_name board what = Printf.sprintf "b%d.sched.%s" board what
+let tile_gauge board tile = gauge_name board (Printf.sprintf "t%d.msgs_in" tile)
 
-(* Board-side: periodic load beacons off the stat service's counter
-   blocks, plus health alarms, both as fire-and-forget raw Ethernet to
-   the controller NIC (the Rack_health heartbeat pattern). Armed before
-   the run, so each board's events live wholly in its own partition. *)
-let arm_telemetry t =
-  (* Teach the ToR switch our port before the first beacon arrives (a
-     self-addressed frame the switch learns from, then discards). *)
-  Sim.after t.sim 1 (fun () ->
-      ignore
-        (Mac.send t.mac
-           (Frame.make ~dst:t.my_mac ~src:t.my_mac
-              (Bytes.of_string (lr_magic ^ "\xff\x00")))));
-  List.iteri
-    (fun i nd ->
-      let kernel = Node.kernel nd in
-      let bmac = (Node.board nd).Board.fpga_mac in
-      let src = Node.mac_addr nd in
-      let ntiles = Kernel.n_tiles kernel in
-      let last_busy = ref 0 and last_msgs = ref 0 in
-      let last_tile = Array.make ntiles 0 in
-      Sim.every (Node.sim nd) ~start:(t.cfg.report_period + i)
-        t.cfg.report_period (fun () ->
-          match Statsvc.answer kernel Statsvc.Board with
-          | None -> ()
-          | Some blk ->
-            let busy = Perf.read blk Perf.busy in
-            let msgs = Perf.read blk Perf.msgs_in in
-            let db = busy - !last_busy and dm = msgs - !last_msgs in
-            last_busy := busy;
-            last_msgs := msgs;
-            let payload = Bytes.create (12 + (2 * ntiles)) in
-            Bytes.blit_string lr_magic 0 payload 0 2;
-            Bytes.set_uint8 payload 2 i;
-            Bytes.set_uint8 payload 3 ntiles;
-            Bytes.set_int32_be payload 4 (Int32.of_int db);
-            Bytes.set_int32_be payload 8 (Int32.of_int dm);
-            for tl = 0 to ntiles - 1 do
-              let m =
-                match Statsvc.answer kernel (Statsvc.Tile tl) with
-                | Some p -> Perf.read p Perf.msgs_in
-                | None -> 0
-              in
-              let d = m - last_tile.(tl) in
-              last_tile.(tl) <- m;
-              Bytes.set_uint16_be payload (12 + (2 * tl)) (min 0xffff (max 0 d))
-            done;
-            (* Lossy by design: backpressure just skips a report. *)
-            ignore (Mac.send bmac (Frame.make ~dst:t.my_mac ~src payload)));
-      let health = Health.create kernel in
-      Health.on_alarm health (fun alarm ->
-          let kind, tile =
-            match alarm with
-            | Health.Stuck_tile { tile; _ } -> (0, tile)
-            | Health.Congested_router { tile; _ } -> (1, tile)
-          in
-          let p = Bytes.create 5 in
-          Bytes.blit_string sa_magic 0 p 0 2;
-          Bytes.set_uint8 p 2 i;
-          Bytes.set_uint8 p 3 kind;
-          Bytes.set_uint8 p 4 tile;
-          ignore (Mac.send bmac (Frame.make ~dst:t.my_mac ~src p))))
-    (Cluster.nodes t.cluster)
+let arm_board_sampler i nd =
+  let kernel = Node.kernel nd in
+  let ntiles = Kernel.n_tiles kernel in
+  let congestion = ref 0 in
+  Health.on_alarm (Health.create kernel) (function
+    | Health.Congested_router _ -> incr congestion
+    | Health.Stuck_tile _ -> ());
+  (* Looked up once: a Registry.clear drops this sampler along with
+     them, so the handles never outlive their registration. *)
+  let alarms_g = Registry.gauge (gauge_name i "congestion_alarms")
+  and tile_g = Array.init ntiles (fun tl -> Registry.gauge (tile_gauge i tl)) in
+  let set g v = Stats.Gauge.set g (float_of_int v) in
+  let msgs_in = function Some p -> Perf.read p Perf.msgs_in | None -> 0 in
+  Registry.add_sampler ~name:(Printf.sprintf "b%d.sched" i) (fun () ->
+      Array.iteri
+        (fun tl g -> set g (msgs_in (Statsvc.answer kernel (Statsvc.Tile tl))))
+        tile_g;
+      set alarms_g !congestion)
+
+let sample_telemetry t col =
+  let read board name =
+    Option.fold ~none:0 ~some:int_of_float (Collector.gauge col ~board name)
+  in
+  Array.iter
+    (fun bs ->
+      if bs.alive then begin
+        let b = bs.b_id in
+        bs.load <- 0;
+        Array.iteri
+          (fun tl last ->
+            let m = read b (tile_gauge b tl) in
+            bs.tile_msgs.(tl) <- m - last;
+            bs.load <- bs.load + bs.tile_msgs.(tl);
+            bs.last_tile.(tl) <- m)
+          bs.last_tile;
+        let alarms = read b (gauge_name b "congestion_alarms") in
+        if alarms > bs.last_alarms then bs.congested <- true;
+        bs.last_alarms <- alarms
+      end)
+    t.boards
 
 (* ------------------------------------------------------------------ *)
 (* Construction and start-up *)
 
-let create ?(config = default_config) cluster ~slot_cells =
-  let mac, my_mac = Cluster.add_client ~gbps:10.0 cluster in
+let create ?(config = default_config) ?collector cluster ~slot_cells =
   (* Controller flight ring, armed and sized like the kernels' (by
      APIARY_FLIGHT / APIARY_FLIGHT_CAP): burn-rate alerts and other
      controller events land here for postmortems. *)
   let flight = Flight.create () in
   let boards =
     Array.init (Cluster.n_boards cluster) (fun b ->
-        let pool = Node.free_tiles (Cluster.node cluster b) in
+        let nd = Cluster.node cluster b in
+        let pool = Node.free_tiles nd in
+        let ntiles = Kernel.n_tiles (Node.kernel nd) in
         {
           b_id = b;
           caps =
@@ -654,30 +611,25 @@ let create ?(config = default_config) cluster ~slot_cells =
           pool;
           alive = true;
           load = 0;
-          busy = 0;
-          tile_msgs = [||];
+          tile_msgs = Array.make ntiles 0;
           congested = false;
-          stuck_alarms = 0;
+          last_tile = Array.make ntiles 0;
+          last_alarms = 0;
         })
   in
-  let t =
-    {
-      cluster;
-      sim = Cluster.sim cluster;
-      cfg = config;
-      mac;
-      my_mac;
-      flight;
-      boards;
-      tenants = [];
-      replicas = [];
-      log = [];
-      n_slo_violations = 0;
-      started = false;
-    }
-  in
-  Mac.set_rx mac (handle_frame t);
-  t
+  {
+    cluster;
+    sim = Cluster.sim cluster;
+    cfg = config;
+    collector;
+    flight;
+    boards;
+    tenants = [];
+    replicas = [];
+    log = [];
+    n_slo_violations = 0;
+    started = false;
+  }
 
 let add_tenant t ~spec ~behavior =
   if t.started then invalid_arg "Sched.add_tenant: scheduler already started";
@@ -753,6 +705,7 @@ let watch t ~tenant client =
    [sync_client], so placement changes keep re-syncing its ring. *)
 let watch_collected t ~tenant collector =
   let ten = tenant_of t tenant in
+  t.collector <- Some collector;
   Collector.on_service_outcome collector (fun ~now (o : Collector.outcome) ->
       if o.Collector.o_service = ten.spec.Placer.name then begin
         let good = o.Collector.o_ok && o.Collector.o_dur <= ten.spec.Placer.slo_cycles in
@@ -783,8 +736,20 @@ let initial_install t ten board =
 
 let start t =
   if t.started then invalid_arg "Sched.start: already started";
+  let col =
+    match t.collector with
+    | Some col -> col
+    | None ->
+      invalid_arg
+        "Sched.start: no collector bound (Sched.create ?collector or \
+         watch_collected)"
+  in
+  if Collector.agent_period col > t.cfg.report_period then
+    invalid_arg "Sched.start: collector agent period exceeds report_period";
   t.started <- true;
-  arm_telemetry t;
+  List.iteri arm_board_sampler (Cluster.nodes t.cluster);
+  Sim.every t.sim ~start:t.cfg.report_period t.cfg.report_period (fun () ->
+      sample_telemetry t col);
   let targets =
     List.map (fun ten -> (ten.spec, ten.spec.Placer.reservation)) t.tenants
   in

@@ -8,17 +8,22 @@
     {2 Control and telemetry planes}
 
     All scheduler state lives on the rack controller (member 0 of a
-    partitioned engine). Telemetry flows {e up} as raw-Ethernet beacons
-    on the boards' uplinks: each board periodically reads its own
-    {!Apiary_core.Statsvc} counter blocks and emits a compact load
-    report (board busy/message deltas plus per-tile message deltas), and
-    an {!Apiary_core.Health} watchdog per board turns stuck-tile and
-    router-congestion alarms into alarm frames. Commands flow {e down}
-    through {!Apiary_cluster.Cluster.post_to_board} with at least one
-    uplink of latency — the same staging protocol as frames and
-    directory announcements — so [Par] runs are byte-identical to the
-    [Seq] reference. A killed board's beacons die at its downed switch
-    port; staleness is exactly what the controller should see.
+    partitioned engine). Telemetry flows {e up} through the rack's one
+    in-band transport, the {!Apiary_cluster.Collector}'s agent batches
+    on the boards' own uplinks. {!start} registers a sampler under each
+    board's [b<id>.] prefix that publishes, as gauges, the cumulative
+    per-tile {!Apiary_core.Statsvc} message counts and the count of
+    router-congestion alarms from an {!Apiary_core.Health} watchdog per
+    board. Every [report_period] the controller differences the latest
+    collected values into per-tile load and board load (their sum,
+    messages per [report_period]); a rise in the alarm count marks the
+    board congested until the next epoch. Gauges are absolute, so a
+    lost record only delays the signal. Commands flow {e down} through
+    {!Apiary_cluster.Cluster.post_to_board} with at least one uplink of
+    latency — the same staging protocol as frames and directory
+    announcements — so [Par] runs are byte-identical to the [Seq]
+    reference. The scheduler owns no NIC, switch port or frame
+    handler.
 
     {2 Decisions}
 
@@ -36,9 +41,11 @@
       PR modelled as deterministic cycle costs), cut the directory and
       client rings over once active, drain, then reconfigure the old
       tile to an idle slot and reclaim it.
-    - {b Failure}: on {!Apiary_cluster.Cluster.report_down} (the rack
-      watchdog's alarm path) the dead board's replicas are struck and
-      displaced tenants re-placed on survivors immediately.
+    - {b Failure}: on {!Apiary_cluster.Cluster.report_down} (raised by
+      the collector's liveness sweep,
+      {!Apiary_cluster.Collector.watch_liveness}, or any other detector)
+      the dead board's replicas are struck and displaced tenants
+      re-placed on survivors immediately.
 
     Every decision is cycle-stamped into a log ({!decisions_json} is
     byte-stable), mirrored as [sched.*] registry counters and, when
@@ -51,7 +58,10 @@ module Slo := Apiary_obs.Slo
 module Flight := Apiary_obs.Flight
 
 type config = {
-  report_period : int;  (** cycles between board load beacons *)
+  report_period : int;
+      (** cycles between controller samples of the collected load; load
+          is messages per [report_period]. Must be at least the
+          collector's agent period, or {!start} raises. *)
   epoch : int;  (** cycles between autoscale/migration evaluations *)
   up_epochs : int;  (** consecutive bad epochs before scaling up *)
   down_epochs : int;  (** consecutive idle epochs before scaling down *)
@@ -59,8 +69,9 @@ type config = {
   hi_util_pct : int;  (** per-replica demand (as % of capacity hint) treated as saturation *)
   lo_util_pct : int;  (** per-replica demand below this % is idle *)
   min_samples : int;  (** completions per epoch below which attainment is not judged *)
-  hot_load : int;  (** board msgs/beacon above which it sheds load *)
-  cold_load : int;  (** board msgs/beacon below which it accepts migrations *)
+  hot_load : int;  (** board msgs/report_period above which it sheds load *)
+  cold_load : int;
+      (** board msgs/report_period below which it accepts migrations *)
   cooldown : int;  (** min cycles between migrations of one tenant *)
   drain_delay : int;
       (** cycles a cut-over replica keeps serving before its tile is
@@ -82,16 +93,24 @@ type config = {
 }
 
 val default_config : config
-(** beacons every 1000, epoch 20_000, 2 up / 3 down epochs, 99% SLO
-    target, 90/25% utilization bands, hot 2000 / cold 800 msgs/beacon,
-    cooldown 60_000, drain 30_000, margin 128, PR 8 B/cycle, 1
-    migration per epoch, SLO window 5_000 with 20 min samples. *)
+(** load sampled every 1000, epoch 20_000, 2 up / 3 down epochs, 99%
+    SLO target, 90/25% utilization bands, hot 2000 / cold 800 msgs per
+    report period, cooldown 60_000, drain 30_000, margin 128, PR 8
+    B/cycle, 1 migration per epoch, SLO window 5_000 with 20 min
+    samples. *)
 
 type t
 
-val create : ?config:config -> Cluster.t -> slot_cells:(int -> int) -> t
-(** Attach a scheduler to the rack: adds a controller NIC for telemetry
-    and snapshots each board's free tiles as its schedulable slots.
+val create :
+  ?config:config ->
+  ?collector:Apiary_cluster.Collector.t ->
+  Cluster.t ->
+  slot_cells:(int -> int) ->
+  t
+(** Attach a scheduler to the rack and snapshot each board's free tiles
+    as its schedulable slots. [collector] is the rack
+    {!Apiary_cluster.Collector} the scheduler reads board load and
+    alarms from; it may instead be bound later by {!watch_collected}.
     [slot_cells board] is the per-slot logic-cell budget (a
     {!Apiary_resource.Floorplan.plan}'s [slot_logic_cells]) — boards
     built from different parts get different budgets. Boards the
@@ -115,7 +134,8 @@ val watch_collected : t -> tenant:string -> Apiary_cluster.Collector.t -> unit
 (** In-band alternative to {!watch}: feed the tenant's error budget
     from the rack {!Apiary_cluster.Collector}'s service-outcome stream
     (server-observed latency and status from collected [serve] spans,
-    delivered over the fabric) instead of the client's local hook.
+    delivered over the fabric) instead of the client's local hook. Also
+    binds [collector] as the scheduler's telemetry source.
     Honestly blind to requests no replica ever saw — client-side
     timeouts stay client-side; E16e measures the gap. Combine with
     {!watch_client_only} so placement changes still re-sync the
@@ -128,10 +148,13 @@ val watch_client_only : t -> tenant:string -> Shard_client.t -> unit
 
 val start : t -> unit
 (** Place initial replicas (each tenant at its reservation, in
-    [add_tenant] order), arm board beacons and health watchdogs, and
-    subscribe to the cluster's failure/recovery announcements. Call
-    after tenants are declared and clients watched, before running the
-    engine. *)
+    [add_tenant] order), register the per-board telemetry samplers and
+    health watchdogs, arm the controller's [report_period] sampling of
+    the collector, and subscribe to the cluster's failure/recovery
+    announcements. Call after tenants are declared and clients watched,
+    before running the engine. Raises [Invalid_argument] when no
+    collector is bound, or when the collector's agent period exceeds
+    [report_period] (a sample would then see no fresh data). *)
 
 (** {1 Introspection} *)
 
@@ -174,9 +197,6 @@ val placement : t -> tenant:string -> int list
 val replica_cycles : t -> tenant:string -> now:int -> int
 (** Integral of serving replicas over time up to [now] — divide by the
     run length for average provisioned replicas. *)
-
-val board_load : t -> int -> int
-(** Last beaconed message delta for a board (the controller's view). *)
 
 val slo : t -> tenant:string -> Slo.t
 (** The tenant's SLO object: error-budget totals, burn rates, the alert

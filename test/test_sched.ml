@@ -13,6 +13,7 @@ module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Directory = Apiary_cluster.Directory
 module Shard_client = Apiary_cluster.Shard_client
+module Collector = Apiary_cluster.Collector
 module Placer = Apiary_sched.Placer
 module Sched = Apiary_sched.Sched
 
@@ -277,8 +278,9 @@ let test_sync_boards_reconciles_ring () =
 (* Determinism: a scheduled rack with migrations, Seq vs Par *)
 
 (* Aggressive mini config so the 120k-cycle run sees real scheduler
-   traffic: 1k beacons, 8k epochs, migration thresholds matched to the
-   ~6-15 msgs/beacon a saturated board moves at cost-300 service. *)
+   traffic: load sampled every 1k cycles, 8k epochs, migration
+   thresholds matched to the ~6-15 msgs per report period a saturated
+   board moves at cost-300 service. *)
 let mini_cfg =
   {
     Sched.default_config with
@@ -312,7 +314,13 @@ let run_sched_rack mode =
     Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:2
   in
   let sim = Cluster.sim cluster in
-  let sched = Sched.create ~config:mini_cfg cluster ~slot_cells:(fun _ -> 50_000) in
+  (* Board load reaches the scheduler only as collected agent records,
+     so the migrations asserted below prove that path carries it. *)
+  let col = Collector.create ~agent_period:500 cluster in
+  let sched =
+    Sched.create ~config:mini_cfg ~collector:col cluster
+      ~slot_cells:(fun _ -> 50_000)
+  in
   Sched.add_tenant sched ~spec:mini_spec
     ~behavior:(fun () -> Accels.echo ~service:"svc" ~cost:300 ());
   let client =
@@ -326,6 +334,7 @@ let run_sched_rack mode =
   Par_sim.run_until eng cycles;
   Shard_client.stop client;
   Par_sim.shutdown eng;
+  Collector.detach col;
   let t = Sched.totals sched in
   let stats =
     Printf.sprintf
@@ -347,7 +356,38 @@ let test_sched_par_matches_seq () =
   Alcotest.(check string) "decision logs byte-identical" json_seq json_par;
   (* The run must actually have moved a tenant, or the check is hollow. *)
   Alcotest.(check bool) "migrations occurred" true
-    (mig_seq >= 1 && mig_par >= 1)
+    (mig_seq >= 1 && mig_par >= 1);
+  (* [start] refuses to run blind: without a collector, or with agents
+     that report less often than the scheduler samples. *)
+  let start_raises ?agent_period () =
+    let eng = Cluster.make_engine ~boards:2 () in
+    let cluster =
+      Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 ~client_ports:1
+    in
+    let collector =
+      Option.map
+        (fun period -> Collector.create ~agent_period:period cluster)
+        agent_period
+    in
+    let sched =
+      Sched.create ~config:mini_cfg ?collector cluster
+        ~slot_cells:(fun _ -> 50_000)
+    in
+    let raised =
+      match Sched.start sched with
+      | () -> false
+      | exception Invalid_argument _ -> true
+    in
+    Option.iter Collector.detach collector;
+    Par_sim.shutdown eng;
+    raised
+  in
+  Alcotest.(check bool) "start without a collector raises" true
+    (start_raises ());
+  Alcotest.(check bool) "agent period above report_period raises" true
+    (start_raises ~agent_period:(mini_cfg.Sched.report_period + 1) ());
+  Alcotest.(check bool) "agent period = report_period starts" false
+    (start_raises ~agent_period:mini_cfg.Sched.report_period ())
 
 (* ------------------------------------------------------------------ *)
 

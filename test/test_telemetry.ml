@@ -194,6 +194,47 @@ let test_collector_conservation () =
       Collector.detach col)
 
 (* ------------------------------------------------------------------ *)
+(* Liveness on the agent stream *)
+
+(* Boards with no registered instruments and no spans: every agent tick
+   finds its queue empty, so each must still ship exactly one
+   header-only batch (the heartbeat), and the liveness sweep must never
+   take that silence-free idleness for a death. *)
+let test_idle_board_heartbeats () =
+  Registry.clear ();
+  let boards = 2 and period = 500 and cycles = 200_000 in
+  let until = cycles - 2_000 in
+  let eng = Cluster.make_engine ~boards () in
+  let cluster =
+    Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:1
+  in
+  let col = Collector.create ~agent_period:period ~agent_until:until cluster in
+  Collector.watch_liveness col;
+  Par_sim.run_until eng cycles;
+  Par_sim.shutdown eng;
+  Collector.detach col;
+  let total = ref 0 in
+  for b = 0 to boards - 1 do
+    let a = Collector.agent col b in
+    (* ticks at period + b, period + b + period, ... up to [until] *)
+    let ticks = ((until - (period + b)) / period) + 1 in
+    total := !total + ticks;
+    Alcotest.(check int) (Printf.sprintf "board %d: nothing emitted" b) 0
+      (Agent.emitted a);
+    Alcotest.(check int)
+      (Printf.sprintf "board %d: one batch per period" b)
+      ticks (Agent.sent_batches a);
+    Alcotest.(check int)
+      (Printf.sprintf "board %d: every batch header-only" b)
+      (ticks * Wire.header_bytes) (Agent.sent_bytes a)
+  done;
+  Alcotest.(check int) "collector received every heartbeat" !total
+    (Collector.rx_frames col);
+  Alcotest.(check (list (pair int int))) "idle boards never declared down" []
+    (Collector.detections col);
+  Registry.clear ()
+
+(* ------------------------------------------------------------------ *)
 (* Env fallback *)
 
 let test_env_fallback () =
@@ -228,6 +269,8 @@ let () =
         [
           Alcotest.test_case "conservation under kill" `Quick
             test_collector_conservation;
+          Alcotest.test_case "idle boards heartbeat, never declared down"
+            `Quick test_idle_board_heartbeats;
         ] );
       ( "env", [ Alcotest.test_case "tolerant fallback" `Quick test_env_fallback ] );
     ]
