@@ -67,9 +67,8 @@ let throughput_per_sec ~count ~cycles =
    deterministic and identical to the sequential run. *)
 
 let domain_count () =
-  match Sys.getenv_opt "APIARY_DOMAINS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 1)
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
+  Apiary_obs.Env.int "APIARY_DOMAINS"
+    ~default:(max 1 (Domain.recommended_domain_count () - 1))
 
 (* APIARY_PAR selects how the conservative parallel-in-time engine
    executes: [boards] runs every rack one-board-per-domain (lookahead =
@@ -103,11 +102,7 @@ let with_rack ~boards ~clients ~duration body =
   let eng =
     match par_mode () with
     | `Boards ->
-      let domains =
-        match Sys.getenv_opt "APIARY_DOMAINS" with
-        | Some s -> ( try max 1 (int_of_string s) with _ -> boards + 1)
-        | None -> boards + 1
-      in
+      let domains = Apiary_obs.Env.int "APIARY_DOMAINS" ~default:(boards + 1) in
       Cluster.make_engine ~mode:Par_sim.Par ~domains ~boards ()
     | `Mesh | `Off -> Cluster.make_engine ~boards ()
   in
@@ -292,53 +287,23 @@ let write_perf_json path =
 
 (* Hot-path profile (APIARY_PROF=1): cumulative wall time and invocation
    count per ticker name, aggregated across every simulator in the
-   process. Read back through the metrics registry — the built-in
-   [obs.prof] sampler publishes [prof.<ticker>.calls/.seconds] gauges —
-   so --perf console output and --obs metrics dumps render the same
-   pipeline's numbers. *)
+   process, in the profiler's own order (descending wall time). The
+   registry's built-in [obs.prof] sampler publishes the same rows as
+   [prof.*] gauges for --obs metrics dumps. *)
 let print_profile () =
-  if Profile.enabled () then begin
-    let module Registry = Apiary_obs.Registry in
-    let gauge suffix name =
-      Stats.Gauge.value
-        (Registry.gauge (Printf.sprintf "prof.%s.%s" name suffix))
-    in
-    let rows =
-      List.filter_map
-        (fun (key, inst) ->
-          match inst with
-          | Registry.Gauge _ when
-              String.length key > 13
-              && String.sub key 0 5 = "prof."
-              && String.sub key (String.length key - 8) 8 = ".seconds" ->
-            Some (String.sub key 5 (String.length key - 13))
-          | _ -> None)
-        (Registry.snapshot ())
-    in
-    (* The registry snapshot is alphabetical; keep the profiler's own
-       order (descending wall time) for the table. *)
-    let rows =
-      List.sort
-        (fun a b -> compare (gauge "seconds" b) (gauge "seconds" a))
-        rows
-    in
-    match rows with
-    | [] -> ()
-    | rows ->
-      subhead "ticker profile (APIARY_PROF)";
-      table
-        [ "ticker"; "calls"; "skipped"; "seconds"; "ns/call" ]
-        (List.map
-           (fun name ->
-             let calls = int_of_float (gauge "calls" name) in
-             let skipped = int_of_float (gauge "skipped" name) in
-             let seconds = gauge "seconds" name in
-             [
-               name;
-               commas calls;
-               commas skipped;
-               Printf.sprintf "%.3f" seconds;
-               f1 (seconds *. 1e9 /. float_of_int (max 1 calls));
-             ])
-           rows)
-  end
+  match if Profile.enabled () then Profile.snapshot () else [] with
+  | [] -> ()
+  | rows ->
+    subhead "ticker profile (APIARY_PROF)";
+    table
+      [ "ticker"; "calls"; "skipped"; "seconds"; "ns/call" ]
+      (List.map
+         (fun (name, calls, skipped, seconds) ->
+           [
+             name;
+             commas calls;
+             commas skipped;
+             Printf.sprintf "%.3f" seconds;
+             f1 (seconds *. 1e9 /. float_of_int (max 1 calls));
+           ])
+         rows)

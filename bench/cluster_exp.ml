@@ -255,7 +255,6 @@ let e12_obs_call () =
   Span.reset ()
 
 let e12_obs_drill () =
-  Registry.clear ();
   Span.reset ();
   (* Deterministic sampling is what lets the capture run at full drill
      scale: keep 1-in-8 corr families head-on, plus every span slower
@@ -347,8 +346,7 @@ let e12_obs_drill () =
     (Series.closed series "kv.latency")
     window "BENCH_obs_series.json";
   Span.set_sampling ();
-  Span.reset ();
-  Registry.clear ()
+  Span.reset ()
 
 let e12_obs () =
   subhead "E12 telemetry capture (--obs)";

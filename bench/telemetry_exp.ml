@@ -48,15 +48,13 @@ module Placer = Apiary_sched.Placer
 module Slo = Apiary_obs.Slo
 module Agent = Apiary_obs.Agent
 module Span = Apiary_obs.Span
-module Registry = Apiary_obs.Registry
 open Bench_util
 
 let small () = Sys.getenv_opt "APIARY_E16_SMALL" <> None
 
 (* Spans on with E12's deterministic sampling (serve spans are corr-0,
-   so the collector's outcome feed is never thinned), registry fresh. *)
+   so the collector's outcome feed is never thinned). *)
 let obs_on () =
-  Registry.clear ();
   Span.reset ();
   Span.set_sampling ~head_mod:8 ~slow_cycles:20_000 ();
   Span.set_enabled true
@@ -64,8 +62,7 @@ let obs_on () =
 let obs_off () =
   Span.set_enabled false;
   Span.set_sampling ();
-  Span.reset ();
-  Registry.clear ()
+  Span.reset ()
 
 (* Conservation is only readable with the wire empty, so every run
    quiesces its agents ([until]) three periods after the workload stops

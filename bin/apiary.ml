@@ -155,7 +155,6 @@ let run_cmd scenario cycles clients enforce trace_on seed =
 (* obs *)
 
 let obs_cmd scenario cycles clients seed trace_out metrics_out =
-  Registry.clear ();
   Span.reset ();
   Span.set_enabled true;
   let sim = Sim.create () in
@@ -165,6 +164,7 @@ let obs_cmd scenario cycles clients seed trace_out metrics_out =
      process row, and publish its kernel/NoC metrics under b0.*. *)
   Kernel.set_obs_board kernel 0;
   Kernel.register_metrics kernel ~prefix:"b0";
+  Registry.attach ~name:"b0" (Kernel.registry kernel);
   let service, op, gen = install_scenario board scenario seed in
   let cs =
     List.init clients (fun idx ->
@@ -190,7 +190,6 @@ let obs_cmd scenario cycles clients seed trace_out metrics_out =
     metrics_out;
   Printf.printf "(open the trace in https://ui.perfetto.dev — 1 us = 1 cycle)\n";
   Span.reset ();
-  Registry.clear ();
   0
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,5 @@
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
-module Stats = Apiary_engine.Stats
 module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
 module Shell = Apiary_core.Shell
@@ -19,6 +18,7 @@ type t = {
   switch : Switch.t;
   directory : Directory.t;
   nodes : Node.t array;
+  registry : Registry.t;  (* the rack's metrics; boards' attached below *)
   exported : (int, string list) Hashtbl.t;  (* board -> services, for re-reg *)
   mutable next_client_port : int;
   mutable on_up : (int -> unit) list;
@@ -75,12 +75,23 @@ let create ?kernel_cfg ?(client_ports = 8) ?(switch_latency = 250)
         Node.create ?kernel_cfg ~ext_link:(uplink id) (board_sim id) ~switch
           ~id ~port:id)
   in
+  (* Replacing the root's previous rack keeps its instruments out of
+     this one's snapshot. *)
+  let registry = Registry.create () in
+  Array.iter
+    (fun nd ->
+      Registry.attach ~parent:registry
+        ~name:(Printf.sprintf "b%d" (Node.id nd))
+        (Kernel.registry (Node.kernel nd)))
+    nodes;
+  Registry.attach ~name:"rack" registry;
   {
     sim;
     engine;
     switch;
     directory;
     nodes;
+    registry;
     exported = Hashtbl.create 8;
     next_client_port = boards;
     on_up = [];
@@ -103,6 +114,7 @@ let post_to_board t ~board ~delay fn =
 let sim t = t.sim
 let switch t = t.switch
 let directory t = t.directory
+let registry t = t.registry
 let n_boards t = Array.length t.nodes
 let node t board = t.nodes.(board)
 let nodes t = Array.to_list t.nodes
@@ -297,12 +309,11 @@ let register_metrics t =
       Kernel.register_metrics (Node.kernel nd)
         ~prefix:(Printf.sprintf "b%d" (Node.id nd)))
     t.nodes;
-  Switch.register_metrics t.switch ~prefix:"rack";
-  Registry.add_sampler ~name:"rack.directory" (fun () ->
-      let set name v =
-        Stats.Gauge.set (Registry.gauge ("rack.directory." ^ name))
-          (float_of_int v)
-      in
-      set "lookups" (Directory.lookups t.directory);
-      set "cache_hits" (Directory.cache_hits t.directory);
-      set "invalidations" (Directory.invalidations t.directory))
+  Switch.register_metrics t.switch t.registry ~prefix:"rack";
+  let g name = "rack.directory." ^ name in
+  Registry.add_int_sampler t.registry ~name:"rack.directory"
+    [
+      (g "lookups", fun () -> Directory.lookups t.directory);
+      (g "cache_hits", fun () -> Directory.cache_hits t.directory);
+      (g "invalidations", fun () -> Directory.invalidations t.directory);
+    ]

@@ -68,6 +68,12 @@ val create :
 val sim : t -> Sim.t
 val switch : t -> Switch.t
 val directory : t -> Directory.t
+
+val registry : t -> Apiary_obs.Registry.t
+(** The rack's registry, with each board's attached below it as
+    ["b<id>"]. {!create} attaches it to the root as ["rack"], replacing
+    the previous rack's. *)
+
 val n_boards : t -> int
 val node : t -> int -> Node.t
 val nodes : t -> Node.t list
@@ -156,8 +162,8 @@ val call :
 (** {1 Observability} *)
 
 val register_metrics : t -> unit
-(** Install [Apiary_obs.Registry] samplers for the whole rack: each
-    board's kernel and NoC under [b<id>.*], the ToR switch under
-    [rack.switch.*], and directory lookup/cache/invalidation gauges
-    under [rack.directory.*]. Safe to call again after a registry
-    [clear] (samplers are replaced by name, never duplicated). *)
+(** Install samplers for the whole rack: each board's kernel and NoC
+    under [b<id>.*] in that board's own registry, the ToR switch under
+    [rack.switch.*] and directory lookup/cache/invalidation gauges under
+    [rack.directory.*] in {!registry}. Safe to call again (samplers are
+    replaced by name, never duplicated). *)

@@ -2,8 +2,8 @@
    telemetry plane. One NIC on the ToR switch receives the
    sequence-numbered batches every board's push agent ships over its
    own uplink, and reassembles the streams into the central pipeline:
-   counter / gauge / histogram deltas land in the global Registry under
-   [collected.*] names, span completions feed windowed latency Series,
+   counter / gauge / histogram deltas land in the collector's own
+   registry as [collected.*], span completions feed windowed latency Series,
    per-bucket Exemplar stores (metric→trace links) and a re-exportable
    Chrome trace, and service outcomes fan out to subscribers (the
    scheduler's SLO path).
@@ -50,10 +50,6 @@ type stream = {
   mutable last_agent_ts : int;  (* agent-side cycle of the last batch *)
   mutable last_rx : int;  (* collector-side cycle of the last batch *)
   mutable decode_errors : int;
-  (* Latest value per gauge name. Owned by this collector, unlike the
-     process-wide Registry mirror, so a reader never sees a value left
-     there by an earlier run or lost to a Registry.clear. *)
-  gauges : (string, float) Hashtbl.t;
   mutable alive : bool;  (* the liveness sweep's belief *)
 }
 
@@ -73,6 +69,7 @@ type t = {
   my_mac : int;
   streams : stream array;
   agents : Agent.t array;
+  registry : Obs.Registry.t;  (* the collected.* mirror *)
   series : Obs.Series.t;
   exemplars : (string, Obs.Exemplar.t) Hashtbl.t;
   mutable spans : (int * Wire.span_done) list;  (* (board, span), newest first *)
@@ -92,11 +89,10 @@ let exemplar_for t name =
     Hashtbl.add t.exemplars name e;
     e
 
-(* Collected instruments live in the global Registry under a
-   [collected.b<id>.] prefix: same names the board publishes locally,
-   one namespace over, so an end-of-run metrics export shows the
-   board-local truth and what survived the wire side by side. *)
-let collected_name board name = Printf.sprintf "collected.b%d.%s" board name
+(* Mirrors of the board's own ([b<id>.]-qualified) names, so a metrics
+   export shows the board-local truth and what survived the wire side
+   by side. *)
+let collected_name name = "collected." ^ name
 
 let span_metric (s : Wire.span_done) =
   match List.assoc_opt "service" s.Wire.s_args with
@@ -115,12 +111,11 @@ let span_ok (s : Wire.span_done) =
 
 let apply_record t ~board ~now = function
   | Wire.Counter_delta (name, d) ->
-    Stats.Counter.add (Obs.Registry.counter (collected_name board name)) d
+    Stats.Counter.add (Obs.Registry.counter t.registry (collected_name name)) d
   | Wire.Gauge_value (name, v) ->
-    Hashtbl.replace t.streams.(board).gauges name v;
-    Stats.Gauge.set (Obs.Registry.gauge (collected_name board name)) v
+    Stats.Gauge.set (Obs.Registry.gauge t.registry (collected_name name)) v
   | Wire.Hist_delta (name, deltas) ->
-    let h = Obs.Registry.histogram (collected_name board name) in
+    let h = Obs.Registry.histogram t.registry (collected_name name) in
     List.iter
       (fun (bucket, d) ->
         Stats.Histogram.record_n h (Stats.Histogram.bucket_value bucket) d)
@@ -212,7 +207,6 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
           last_agent_ts = 0;
           last_rx = 0;
           decode_errors = 0;
-          gauges = Hashtbl.create 16;
           alive = true;
         })
   in
@@ -233,10 +227,13 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
            Agent.create ?period:agent_period ?queue_cap:agent_queue
              ?batch_bytes:agent_batch_bytes ~max_frames:agent_max_frames
              ?until:agent_until ~sim:(Node.sim nd) ~board:i
-             ~prefix:(Printf.sprintf "b%d." i)
+             ~registry:(Apiary_core.Kernel.registry (Node.kernel nd))
              ~send ())
          (Cluster.nodes cluster))
   in
+  let registry = Obs.Registry.create () in
+  Obs.Registry.attach ~parent:(Cluster.registry cluster) ~name:"collected"
+    registry;
   let t =
     {
       sim;
@@ -247,6 +244,7 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
       my_mac;
       streams;
       agents;
+      registry;
       series = Obs.Series.create ~window:series_window ();
       exemplars = Hashtbl.create 8;
       spans = [];
@@ -297,7 +295,10 @@ let watch_liveness t =
 
 let detections t = List.rev t.detections
 let agent_period t = t.agent_period
-let gauge t ~board name = Hashtbl.find_opt t.streams.(board).gauges name
+let gauge t name =
+  match Obs.Registry.find t.registry (collected_name name) with
+  | Some (Obs.Registry.Gauge g) -> Some (Stats.Gauge.value g)
+  | _ -> None
 let detach t = Array.iter Agent.detach t.agents
 let agent t board = t.agents.(board)
 let n_boards t = Array.length t.streams

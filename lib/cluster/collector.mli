@@ -5,11 +5,13 @@
     collector NIC on the ToR switch, plus one {!Apiary_obs.Agent} per
     board wired to ship its batches through the board's {e own}
     workload NIC (telemetry shares the uplink and is charged for it).
-    Delivered batches land in:
+    Each agent harvests the registry its board owns
+    ({!Apiary_core.Kernel.registry}). Delivered batches land in:
 
-    - the global Registry, under [collected.b<id>.*] names (counter /
-      gauge / histogram deltas replayed), side by side with the
-      board-local originals;
+    - the collector's own registry, under [collected.<name>] for each
+      board-published [b<id>.*] name (counter / gauge / histogram
+      deltas replayed), attached below {!Cluster.registry} so a metrics
+      snapshot shows it side by side with the board-local originals;
     - a windowed latency {!Apiary_obs.Series} per service, observed at
       collector arrival time;
     - per-metric {!Apiary_obs.Exemplar} stores — the metric→trace link;
@@ -85,11 +87,12 @@ val detections : t -> (int * int) list
 val agent_period : t -> int
 (** The agents' harvest/flush period, cycles. *)
 
-val gauge : t -> board:int -> string -> float option
+val gauge : t -> string -> float option
 (** The latest delivered value of a board gauge, by the name the board
-    published it under (e.g. [b2.sched.t3.msgs_in]); [None] until a record
-    for it arrives. Gauges are absolute, so a lost record only delays
-    the value: the next delivered one overwrites it. *)
+    published it under (e.g. [b2.sched.t3.msgs_in]), read from the
+    collector's registry; [None] until a record for it arrives. Gauges
+    are absolute, so a lost record only delays the value: the next
+    delivered one overwrites it. *)
 
 val detach : t -> unit
 (** Detach every agent (stops their ticks and removes span sinks).

@@ -274,19 +274,18 @@ let start t ~concurrency =
 let stop t = t.running <- false
 
 let register_metrics t =
+  let reg = Cluster.registry t.cluster in
   let prefix = Printf.sprintf "client%d" (t.my_mac - 0x02_0000_0C0000) in
-  Registry.add_sampler ~name:prefix (fun () ->
-      let set name v =
-        Stats.Gauge.set
-          (Registry.gauge (prefix ^ "." ^ name))
-          (float_of_int v)
-      in
-      set "issued" t.issued;
-      set "completed" t.completed;
-      set "errors" t.errors;
-      set "failovers" t.failovers;
-      set "live_boards" (List.length (Shard.boards t.ring));
-      Registry.register (prefix ^ ".latency") (Registry.Histogram t.lat))
+  let g name = prefix ^ "." ^ name in
+  Registry.register reg (g "latency") (Registry.Histogram t.lat);
+  Registry.add_int_sampler reg ~name:prefix
+    [
+      (g "issued", fun () -> t.issued);
+      (g "completed", fun () -> t.completed);
+      (g "errors", fun () -> t.errors);
+      (g "failovers", fun () -> t.failovers);
+      (g "live_boards", fun () -> List.length (Shard.boards t.ring));
+    ]
 
 let issued t = t.issued
 let completed t = t.completed

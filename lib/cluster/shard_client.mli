@@ -80,6 +80,7 @@ val sync_boards : t -> int list -> unit
     board still complete; only new issues follow the new membership. *)
 
 val register_metrics : t -> unit
-(** Install an [Apiary_obs.Registry] sampler publishing this client's
+(** Install a sampler in the rack's registry ({!Cluster.registry})
+    publishing this client's
     issued/completed/errors/failovers gauges and its latency histogram
     under [client<port>.*]. *)

@@ -37,6 +37,7 @@ type t = {
   k_dram : Dram.t;
   k_alloc : Seg_alloc.t;
   k_flight : Apiary_obs.Flight.t;
+  k_registry : Apiary_obs.Registry.t;  (* this board's metrics *)
   monitors : Monitor.t array;
   quad_regions : int array;  (* activity subregion id per tile quadrant *)
   unregister_names : int -> unit;
@@ -60,6 +61,7 @@ let mesh t = t.k_mesh
 let dram t = t.k_dram
 let allocator t = t.k_alloc
 let flight t = t.k_flight
+let registry t = t.k_registry
 let monitor t i = t.monitors.(i)
 
 let is_service_tile t i = i = t.cfg.name_tile || i = t.cfg.mem_tile
@@ -101,29 +103,26 @@ let set_obs_board t id =
   Apiary_obs.Flight.set_board t.k_flight id
 
 module Registry = Apiary_obs.Registry
-module Stats = Apiary_engine.Stats
 
 let register_metrics t ~prefix =
-  Mesh.register_metrics t.k_mesh ~prefix;
-  Registry.add_sampler
+  let reg = t.k_registry in
+  Mesh.register_metrics t.k_mesh reg ~prefix;
+  (* Per-service-tile added latency (the monitor checking cost). *)
+  Array.iteri
+    (fun i m ->
+      Registry.register reg
+        (Printf.sprintf "%s.kernel.t%d.added_latency" prefix i)
+        (Registry.Histogram (Monitor.added_latency m)))
+    t.monitors;
+  let g name = prefix ^ ".kernel." ^ name in
+  Registry.add_int_sampler reg
     ~name:(prefix ^ ".kernel")
-    (fun () ->
-      let set name v =
-        Stats.Gauge.set
-          (Registry.gauge (prefix ^ ".kernel." ^ name))
-          (float_of_int v)
-      in
-      set "denied" (total_denied t);
-      set "dropped" (total_dropped t);
-      set "msgs_out" (total_msgs t);
-      set "faults" (List.length t.fault_log);
-      (* Per-service-tile added latency (the monitor checking cost). *)
-      Array.iteri
-        (fun i m ->
-          Registry.register
-            (Printf.sprintf "%s.kernel.t%d.added_latency" prefix i)
-            (Registry.Histogram (Monitor.added_latency m)))
-        t.monitors)
+    [
+      (g "denied", fun () -> total_denied t);
+      (g "dropped", fun () -> total_dropped t);
+      (g "msgs_out", fun () -> total_msgs t);
+      (g "faults", fun () -> List.length t.fault_log);
+    ]
 
 let create sim cfg =
   let ntiles = cfg.mesh.Mesh.cols * cfg.mesh.Mesh.rows in
@@ -219,6 +218,7 @@ let create sim cfg =
       k_dram;
       k_alloc;
       k_flight;
+      k_registry = Apiary_obs.Registry.create ();
       monitors;
       quad_regions;
       unregister_names;

@@ -109,9 +109,13 @@ val set_obs_board : t -> int -> unit
     events from this board are attributed correctly in merged/exported
     views. *)
 
+val registry : t -> Apiary_obs.Registry.t
+(** The registry this board owns, and exactly what its telemetry agent
+    harvests. A [Cluster] attaches it under ["b<id>"]. *)
+
 val register_metrics : t -> prefix:string -> unit
-(** Install [Apiary_obs.Registry] samplers (under [prefix ^ ".kernel"]
-    and the mesh's [prefix ^ ".noc"]) publishing capability denials,
-    drops, fault transitions, per-tile monitor added-latency histograms
-    and the NoC heatmap gauges. Re-attaching with the same prefix
-    replaces the previous samplers. *)
+(** Install samplers in {!registry} (under [prefix ^ ".kernel"] and the
+    mesh's [prefix ^ ".noc"]) publishing capability denials, drops,
+    fault transitions, per-tile monitor added-latency histograms and
+    the NoC heatmap gauges. Re-attaching with the same prefix replaces
+    the previous samplers. *)

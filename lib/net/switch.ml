@@ -1,7 +1,6 @@
 module Sim = Apiary_engine.Sim
 module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
-module Stats = Apiary_engine.Stats
 
 type port = { link : Link.t; side : Link.side }
 
@@ -132,26 +131,20 @@ let port_forwarded t ~port = t.pstats.(port).p_forwarded
 let port_flooded t ~port = t.pstats.(port).p_flooded
 let port_dropped t ~port = t.pstats.(port).p_dropped
 
-let register_metrics t ~prefix =
-  Registry.add_sampler
+let register_metrics t reg ~prefix =
+  let g name = prefix ^ ".switch." ^ name in
+  let port pi ps =
+    [
+      (g (Printf.sprintf "p%d.forwarded" pi), fun () -> ps.p_forwarded);
+      (g (Printf.sprintf "p%d.dropped" pi), fun () -> ps.p_dropped);
+    ]
+  in
+  Registry.add_int_sampler reg
     ~name:(prefix ^ ".switch")
-    (fun () ->
-      let set name v =
-        Stats.Gauge.set
-          (Registry.gauge (prefix ^ ".switch." ^ name))
-          (float_of_int v)
-      in
-      set "forwarded" t.forwarded;
-      set "flooded" t.flooded;
-      set "dropped" t.dropped;
-      set "fdb_size" (Hashtbl.length t.fdb);
-      Array.iteri
-        (fun pi ps ->
-          let base = Printf.sprintf "%s.switch.p%d" prefix pi in
-          Stats.Gauge.set
-            (Registry.gauge (base ^ ".forwarded"))
-            (float_of_int ps.p_forwarded);
-          Stats.Gauge.set
-            (Registry.gauge (base ^ ".dropped"))
-            (float_of_int ps.p_dropped))
-        t.pstats)
+    ([
+       (g "forwarded", fun () -> t.forwarded);
+       (g "flooded", fun () -> t.flooded);
+       (g "dropped", fun () -> t.dropped);
+       (g "fdb_size", fun () -> Hashtbl.length t.fdb);
+     ]
+    @ List.concat (List.mapi port (Array.to_list t.pstats)))

@@ -51,7 +51,7 @@ val port_forwarded : t -> port:int -> int
 val port_flooded : t -> port:int -> int
 val port_dropped : t -> port:int -> int
 
-val register_metrics : t -> prefix:string -> unit
-(** Install an [Apiary_obs.Registry] sampler (named [prefix ^ ".switch"])
+val register_metrics : t -> Apiary_obs.Registry.t -> prefix:string -> unit
+(** Install a sampler in the given registry (named [prefix ^ ".switch"])
     publishing forwarded/flooded/dropped totals, FDB size, and per-port
     forwarded/dropped gauges. *)

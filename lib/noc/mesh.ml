@@ -284,34 +284,43 @@ let create ?engine sim cfg =
     nics;
   t
 
-let register_metrics t ~prefix =
-  Registry.add_sampler
+let register_metrics t reg ~prefix =
+  let g name = prefix ^ ".noc." ^ name in
+  let routers =
+    List.mapi
+      (fun i r ->
+        let c = Coord.of_index ~cols:t.cfg.cols i in
+        let base = g (Printf.sprintf "r%d_%d" c.Coord.x c.Coord.y) in
+        (base, r, t.sims.(t.stripe_of_tile.(i))))
+      (Array.to_list t.routers)
+  in
+  Registry.add_int_sampler reg
+    ~name:(g "counts")
+    ([
+       (g "sent", fun () -> packets_sent t);
+       (g "delivered", fun () -> packets_delivered t);
+       (g "active_cols", fun () -> active_columns t);
+     ]
+    @ List.map
+        (fun (base, r, _) -> (base ^ ".occ", fun () -> Router.input_occupancy r))
+        routers);
+  let utils =
+    List.map
+      (fun (base, r, sim) -> (Registry.gauge reg (base ^ ".util"), r, sim))
+      routers
+  and latency_name = g "latency"
+  and hops_name = g "hops" in
+  Registry.add_sampler reg
     ~name:(prefix ^ ".noc")
     (fun () ->
-      Array.iteri
-        (fun i r ->
-          let c = Coord.of_index ~cols:t.cfg.cols i in
-          let base = Printf.sprintf "%s.noc.r%d_%d" prefix c.Coord.x c.Coord.y in
-          Stats.Gauge.set
-            (Registry.gauge (base ^ ".occ"))
-            (float_of_int (Router.input_occupancy r));
-          let now = Sim.now t.sims.(t.stripe_of_tile.(i)) in
-          let util =
-            if now = 0 then 0.0
-            else float_of_int (Router.busy_cycles r) /. float_of_int now
-          in
-          Stats.Gauge.set (Registry.gauge (base ^ ".util")) util)
-        t.routers;
-      Stats.Gauge.set
-        (Registry.gauge (prefix ^ ".noc.sent"))
-        (float_of_int (packets_sent t));
-      Stats.Gauge.set
-        (Registry.gauge (prefix ^ ".noc.delivered"))
-        (float_of_int (packets_delivered t));
-      Stats.Gauge.set
-        (Registry.gauge (prefix ^ ".noc.active_cols"))
-        (float_of_int (active_columns t));
-      Registry.register (prefix ^ ".noc.latency")
-        (Registry.Histogram (latency t));
-      Registry.register (prefix ^ ".noc.hops")
-        (Registry.Histogram (hop_histogram t)))
+      List.iter
+        (fun (util, r, sim) ->
+          let now = Sim.now sim in
+          Stats.Gauge.set util
+            (if now = 0 then 0.0
+             else float_of_int (Router.busy_cycles r) /. float_of_int now))
+        utils;
+      (* A striped mesh merges its per-stripe histograms afresh on each
+         read, so these are re-bound every sample. *)
+      Registry.register reg latency_name (Registry.Histogram (latency t));
+      Registry.register reg hops_name (Registry.Histogram (hop_histogram t)))

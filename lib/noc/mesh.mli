@@ -68,8 +68,8 @@ val set_obs_board : 'a t -> int -> unit
     transfer spans), so [Apiary_obs.Span] events from this mesh land on
     the right process row in the exported trace. *)
 
-val register_metrics : 'a t -> prefix:string -> unit
-(** Install an [Apiary_obs.Registry] sampler (named [prefix ^ ".noc"],
+val register_metrics : 'a t -> Apiary_obs.Registry.t -> prefix:string -> unit
+(** Install a sampler in the given registry (named [prefix ^ ".noc"],
     so re-attaching replaces) that publishes per-router occupancy and
     utilization gauges ([<prefix>.noc.r<x>_<y>.occ]/[.util] — the NoC
     heatmap), sent/delivered totals, and the latency and hop

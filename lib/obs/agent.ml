@@ -1,12 +1,12 @@
 (* Per-board telemetry agent: the push half of the in-band telemetry
    plane. Each board runs one agent on its own simulator; every
-   [period] cycles it harvests the board's Registry instruments
-   ([b<id>.*] samplers only — never another board's) into counter /
-   gauge / histogram-bucket deltas, folds in the span completions its
-   [Span.set_sink] tap delivered since the last tick, and flushes the
-   backlog as sequence-numbered batches through a [send] callback the
-   cluster layer wires to the board's own NIC — telemetry shares the
-   uplink with the workload and is accounted for, not assumed free.
+   [period] cycles it harvests the registry its board owns (never
+   another board's) into counter / gauge / histogram-bucket deltas,
+   folds in the span completions its [Span.set_sink] tap delivered
+   since the last tick, and flushes the backlog as sequence-numbered
+   batches through a [send] callback the cluster layer wires to the
+   board's own NIC — telemetry shares the uplink with the workload and
+   is accounted for, not assumed free.
 
    The queue is bounded: when the uplink is congested (send keeps
    returning false) or the harvest outruns the wire, the oldest records
@@ -278,7 +278,7 @@ let dq_push q s =
 
 type t = {
   board : int;
-  prefix : string;
+  registry : Registry.t;
   period : int;
   batch_bytes : int;
   max_frames : int;
@@ -325,7 +325,7 @@ let on_span t (ev : Span.event) =
             }))
 
 let harvest t =
-  (* snapshot_prefix runs only this board's samplers and returns names
+  (* The harvest runs only this board's samplers and returns names
      sorted, so the record order inside a harvest is deterministic. *)
   List.iter
     (fun (name, inst) ->
@@ -367,7 +367,7 @@ let harvest t =
         in
         if deltas <> [] then
           enqueue t (Wire.encode_record (Wire.Hist_delta (name, deltas))))
-    (Registry.snapshot_prefix t.prefix)
+    (Registry.harvest t.registry)
 
 let send_batch t ~now records =
   let payload =
@@ -426,7 +426,7 @@ let tick t ~now =
 
 let create ?(period = default_period) ?(queue_cap = default_queue)
     ?(batch_bytes = default_batch_bytes) ?(max_frames = 2) ?(until = max_int)
-    ~sim ~board ~prefix ~send () =
+    ~sim ~board ~registry ~send () =
   if period <= 0 then invalid_arg "Agent.create: period must be positive";
   if queue_cap <= 0 then invalid_arg "Agent.create: queue_cap must be positive";
   if batch_bytes <= Wire.header_bytes + 8 then
@@ -434,7 +434,7 @@ let create ?(period = default_period) ?(queue_cap = default_queue)
   let t =
     {
       board;
-      prefix;
+      registry;
       period;
       batch_bytes;
       max_frames;

@@ -1,10 +1,9 @@
 (** Per-board push telemetry agent.
 
     One agent runs on each board's own simulator. Every [period] cycles
-    it harvests the board's Registry instruments (only the samplers
-    under its [prefix], e.g. [b3.] — a partitioned engine forbids
-    reading other boards' state) into counter / gauge /
-    histogram-bucket {e deltas}, folds in the span completions tapped
+    it harvests the {!Registry} its board owns (and no other: a
+    partitioned engine forbids reading other boards' state) into
+    counter / gauge / histogram-bucket {e deltas}, folds in the span completions tapped
     via {!Span.set_sink}, and flushes the backlog as sequence-numbered
     {!Wire} batches through the [send] callback — which the cluster
     layer wires to the board's own NIC, so telemetry shares the uplink
@@ -96,12 +95,14 @@ val create :
   ?until:int ->
   sim:Apiary_engine.Sim.t ->
   board:int ->
-  prefix:string ->
+  registry:Registry.t ->
   send:(bytes -> bool) ->
   unit ->
   t
 (** Create the agent, install its span sink for [board], and arm its
-    harvest/flush tick on [sim] (staggered by board id). [max_frames]
+    harvest/flush tick on [sim] (staggered by board id). Every tick
+    harvests [registry] — the one the board owns — whatever names its
+    instruments carry. [max_frames]
     (default 2) caps batches flushed per tick so telemetry cannot
     monopolize the NIC's descriptor ring against workload replies.
     Ticks after cycle [until] (default unbounded) are skipped — a

@@ -87,27 +87,12 @@ let pp_entry ppf (board, e) =
 (* Postmortem JSON. Byte-stable: entries in ring order, args in
    recording order, no floats. *)
 
-let buf_add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let dump_json t ~reason ~cycle =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"board\": ";
   Buffer.add_string buf (string_of_int t.board);
   Buffer.add_string buf ",\n  \"reason\": ";
-  buf_add_json_string buf reason;
+  Export.buf_add_json_string buf reason;
   Buffer.add_string buf ",\n  \"cycle\": ";
   Buffer.add_string buf (string_of_int cycle);
   Buffer.add_string buf ",\n  \"capacity\": ";
@@ -124,25 +109,25 @@ let dump_json t ~reason ~cycle =
       Buffer.add_string buf ", \"tile\": ";
       Buffer.add_string buf (string_of_int e.tile);
       Buffer.add_string buf ", \"cat\": ";
-      buf_add_json_string buf e.cat;
+      Export.buf_add_json_string buf e.cat;
       Buffer.add_string buf ", \"name\": ";
-      buf_add_json_string buf e.name;
+      Export.buf_add_json_string buf e.name;
       if e.corr <> 0 then begin
         Buffer.add_string buf ", \"corr\": ";
         Buffer.add_string buf (string_of_int e.corr)
       end;
       if e.detail <> "" then begin
         Buffer.add_string buf ", \"detail\": ";
-        buf_add_json_string buf e.detail
+        Export.buf_add_json_string buf e.detail
       end;
       if e.args <> [] then begin
         Buffer.add_string buf ", \"args\": {";
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_string buf ", ";
-            buf_add_json_string buf k;
+            Export.buf_add_json_string buf k;
             Buffer.add_string buf ": ";
-            buf_add_json_string buf v)
+            Export.buf_add_json_string buf v)
           e.args;
         Buffer.add_char buf '}'
       end;

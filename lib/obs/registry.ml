@@ -5,140 +5,144 @@ type instrument =
   | Gauge of Stats.Gauge.t
   | Histogram of Stats.Histogram.t
 
-(* Process-global; guarded for safety when parallel sweeps attach, though
-   deterministic snapshots (like span capture) want a single domain. *)
-let lock = Mutex.create ()
-let instruments : (string, instrument) Hashtbl.t = Hashtbl.create 64
-let samplers : (string, unit -> unit) Hashtbl.t = Hashtbl.create 16
+(* A registry belongs to whoever writes it (a board's kernel, a rack, a
+   collector) and takes no lock: only its owner's domain touches it
+   during a run. *)
+type t = {
+  instruments : (string, instrument) Hashtbl.t;
+  mutable samplers : (string * (unit -> unit)) list;
+  mutable children : (string * t) list;
+}
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let create () = { instruments = Hashtbl.create 32; samplers = []; children = [] }
 
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let get_or_create name mk match_ =
-  with_lock (fun () ->
-      match Hashtbl.find_opt instruments name with
-      | Some i -> (
-        match match_ i with
-        | Some v -> v
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Obs registry: %s is a %s" name (kind_name i)))
-      | None ->
-        let v = mk () in
-        v)
+let get_or_create t name mk match_ =
+  match Hashtbl.find_opt t.instruments name with
+  | Some i -> (
+    match match_ i with
+    | Some v -> v
+    | None ->
+      invalid_arg (Printf.sprintf "Obs registry: %s is a %s" name (kind_name i)))
+  | None ->
+    let v, i = mk name in
+    Hashtbl.replace t.instruments name i;
+    v
 
-let counter name =
-  get_or_create name
-    (fun () ->
-      let c = Stats.Counter.create name in
-      Hashtbl.replace instruments name (Counter c);
-      c)
+let counter t name =
+  get_or_create t name
+    (fun n -> let c = Stats.Counter.create n in (c, Counter c))
     (function Counter c -> Some c | _ -> None)
 
-let gauge name =
-  get_or_create name
-    (fun () ->
-      let g = Stats.Gauge.create name in
-      Hashtbl.replace instruments name (Gauge g);
-      g)
+let gauge t name =
+  get_or_create t name
+    (fun n -> let g = Stats.Gauge.create n in (g, Gauge g))
     (function Gauge g -> Some g | _ -> None)
 
-let histogram name =
-  get_or_create name
-    (fun () ->
-      let h = Stats.Histogram.create name in
-      Hashtbl.replace instruments name (Histogram h);
-      h)
+let histogram t name =
+  get_or_create t name
+    (fun n -> let h = Stats.Histogram.create n in (h, Histogram h))
     (function Histogram h -> Some h | _ -> None)
 
-let register name i = with_lock (fun () -> Hashtbl.replace instruments name i)
+let register t name i = Hashtbl.replace t.instruments name i
 
-let add_sampler ~name f = with_lock (fun () -> Hashtbl.replace samplers name f)
+let find t name = Hashtbl.find_opt t.instruments name
 
-(* Filter before sorting: an agent harvests its prefix every period,
-   and the registry holds every board's instruments plus the collected
-   mirrors. *)
-let sorted_bindings ?(prefix = "") tbl =
-  Hashtbl.fold
-    (fun k v acc -> if String.starts_with ~prefix k then (k, v) :: acc else acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let put name v l = (name, v) :: List.remove_assoc name l
 
-let sample () =
-  let fns = with_lock (fun () -> sorted_bindings samplers) in
-  List.iter (fun (_, f) -> f ()) fns
+let add_sampler t ~name f = t.samplers <- put name f t.samplers
 
-let snapshot () =
-  sample ();
-  with_lock (fun () -> sorted_bindings instruments)
+let add_int_sampler t ~name readers =
+  let gauges = List.map (fun (n, read) -> (gauge t n, read)) readers in
+  add_sampler t ~name (fun () ->
+      List.iter
+        (fun (g, read) -> Stats.Gauge.set g (float_of_int (read ())))
+        gauges)
 
-(* Prefix-restricted views: a per-board telemetry agent harvesting
-   [b<id>.*] must run only its own board's samplers — running them all
-   would read other boards' component state from this domain, which a
-   partitioned engine forbids mid-run. *)
+let rec sample t =
+  List.iter (fun (_, f) -> f ()) t.samplers;
+  List.iter (fun (_, c) -> sample c) t.children
 
-let sample_prefix prefix =
-  let fns = with_lock (fun () -> sorted_bindings ~prefix samplers) in
-  List.iter (fun (_, f) -> f ()) fns
+let rec bindings t acc =
+  List.fold_left
+    (fun acc (_, c) -> bindings c acc)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.instruments acc)
+    t.children
 
-let snapshot_prefix prefix =
-  sample_prefix prefix;
-  with_lock (fun () -> sorted_bindings ~prefix instruments)
+(* One name, one instrument: a name bound by two owners is a wiring
+   bug, not something to merge. *)
+let rec check_unique = function
+  | (a, _) :: ((b, _) :: _ as rest) ->
+    if a = b then invalid_arg ("Obs registry: two owners bind " ^ a);
+    check_unique rest
+  | _ -> ()
 
-let reset () =
-  with_lock (fun () ->
-      Hashtbl.iter
-        (fun _ i ->
-          match i with
-          | Counter c -> Stats.Counter.reset c
-          | Gauge g -> Stats.Gauge.reset g
-          | Histogram h -> Stats.Histogram.reset h)
-        instruments)
+let harvest t =
+  sample t;
+  let l = List.sort (fun (a, _) (b, _) -> compare a b) (bindings t []) in
+  check_unique l;
+  l
+
+let rec reset t =
+  Hashtbl.iter
+    (fun _ i ->
+      match i with
+      | Counter c -> Stats.Counter.reset c
+      | Gauge g -> Stats.Gauge.reset g
+      | Histogram h -> Stats.Histogram.reset h)
+    t.instruments;
+  List.iter (fun (_, c) -> reset c) t.children
 
 (* ------------------------------------------------------------------ *)
-(* Built-in samplers.
+(* The process root: the built-in samplers plus every owner's registry,
+   attached under the owner's name. Parallel sweeps build racks (which
+   attach themselves) on worker domains, so the root alone keeps a
+   lock. *)
 
-   [obs.span.*] makes trace truncation detectable from the metrics dump
-   alone: a nonzero [obs.span.dropped] means the Chrome-trace export is
-   missing events. [prof.*] folds the APIARY_PROF per-ticker wall-time
-   rows into the same pipeline, so --perf and --obs share one metrics
-   surface; with APIARY_PROF unset the sampler publishes nothing, which
-   keeps obs metric dumps byte-stable. Built-ins are re-installed by
-   {!clear}, so they survive between unrelated runs like the registry
-   itself does. *)
+let root = create ()
+let lock = Mutex.create ()
+
+let attach ?(parent = root) ~name child =
+  let go () = parent.children <- put name child parent.children in
+  if parent == root then Mutex.protect lock go else go ()
+
+let snapshot () = Mutex.protect lock (fun () -> harvest root)
+
+(* Built-ins. [obs.span.*] makes trace truncation visible in the
+   metrics dump alone; [prof.*] publishes nothing with APIARY_PROF unset,
+   which keeps obs metric dumps byte-stable. *)
 
 module Profile = Apiary_engine.Profile
 
 let install_builtins () =
-  add_sampler ~name:"obs.span" (fun () ->
-      Stats.Gauge.set (gauge "obs.span.events") (float_of_int (Span.count ()));
-      Stats.Gauge.set (gauge "obs.span.dropped")
-        (float_of_int (Span.dropped ()));
-      Stats.Gauge.set (gauge "obs.span.sampled")
-        (float_of_int (Span.sampled ())));
-  add_sampler ~name:"obs.prof" (fun () ->
+  add_int_sampler root ~name:"obs.span"
+    [
+      ("obs.span.events", Span.count);
+      ("obs.span.dropped", Span.dropped);
+      ("obs.span.sampled", Span.sampled);
+    ];
+  add_sampler root ~name:"obs.prof" (fun () ->
       if Profile.enabled () then
         List.iter
           (fun (name, calls, skipped, seconds) ->
-            Stats.Gauge.set
-              (gauge (Printf.sprintf "prof.%s.calls" name))
-              (float_of_int calls);
-            Stats.Gauge.set
-              (gauge (Printf.sprintf "prof.%s.skipped" name))
-              (float_of_int skipped);
-            Stats.Gauge.set (gauge (Printf.sprintf "prof.%s.seconds" name)) seconds)
+            let set what v =
+              let name = Printf.sprintf "prof.%s.%s" name what in
+              Stats.Gauge.set (gauge root name) v
+            in
+            set "calls" (float_of_int calls);
+            set "skipped" (float_of_int skipped);
+            set "seconds" seconds)
           (Profile.snapshot ()))
 
 let clear () =
-  with_lock (fun () ->
-      Hashtbl.reset instruments;
-      Hashtbl.reset samplers);
-  install_builtins ()
+  Mutex.protect lock (fun () ->
+      Hashtbl.reset root.instruments;
+      root.samplers <- [];
+      root.children <- [];
+      install_builtins ())
 
 let () = install_builtins ()

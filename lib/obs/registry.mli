@@ -1,31 +1,32 @@
-(** Global metrics registry: the aggregate half of the telemetry layer.
+(** Metrics registries: the aggregate half of the telemetry layer.
 
-    Components expose their existing [Stats] instruments under stable
-    dotted names (e.g. [b0.noc.r1_2.occ], [rack.switch.flooded],
-    [svc.kv.latency]) instead of each benchmark growing its own ad-hoc
-    counters. Two styles coexist:
+    Components expose their [Stats] instruments under stable dotted
+    names ([b0.noc.r1_2.occ], [rack.switch.flooded]): owned instruments
+    ({!counter}, {!gauge}, {!histogram}) and samplers, callbacks that
+    pull live component state into instruments before every {!harvest}.
 
-    - {b owned instruments}: {!counter}, {!gauge} and {!histogram}
-      get-or-create named instruments that live in the registry and are
-      reset by {!reset};
-    - {b samplers}: named callbacks (registered by the [register_metrics]
-      attach points in kernel, mesh, switch, cluster, …) that pull live
-      component state — FIFO occupancy, link utilization, denial counts —
-      into owned instruments right before every {!snapshot}. Registering
-      a sampler under an existing name replaces it, so re-attaching
-      between runs never duplicates.
+    {b Ownership.} A registry is owned by whoever writes it and takes
+    no lock: each board's [Kernel] owns one ([b<id>.*]), each [Cluster]
+    one for the rack (switch, directory, shard clients, scheduler) and
+    each [Collector] one for its [collected.*] mirror. The registry
+    that holds an instrument, not its name, says which board it belongs
+    to: a board's agent harvests exactly its board's registry.
 
-    A snapshot is an alphabetical association list, so rendering it (see
-    {!Export.metrics_json}) is deterministic.
+    {b The root.} The process keeps one root, read by {!snapshot} and
+    emptied by {!clear}. It holds the built-in samplers — [obs.span.*]
+    (retained/dropped/sampled span counts, so a truncated trace shows
+    in the metrics dump) and [prof.*] (the [APIARY_PROF] ticker rows,
+    nothing when profiling is off) — and the owners' registries,
+    {!attach}ed under the owner's name; a rack attaches itself as
+    ["rack"] with its boards and collector below it. Attaching a name
+    again replaces the old registry, so a rebuilt rack replaces the
+    previous rack's instruments. The root keeps a lock: parallel sweeps
+    build racks, and so attach them, on worker domains.
 
-    Two {b built-in samplers} are always installed (and re-installed by
-    {!clear}): [obs.span] publishes the span recorder's retained/dropped
-    event counts as [obs.span.events] / [obs.span.dropped] gauges, so a
-    truncated trace is detectable from the metrics dump alone; [obs.prof]
-    publishes the [APIARY_PROF] per-ticker wall-time rows as
-    [prof.<ticker>.calls] / [prof.<ticker>.seconds] gauges (nothing when
-    profiling is off), so [--perf] and [--obs] share one metrics
-    pipeline. *)
+    {b Still process-level:} the span store and its sink table
+    ({!Span}), the engines' run totals ([Sim.total_*],
+    [Par_sim.total_window_stats]) and the [Profile] rows, which the
+    benchmark harness reads and resets through those calls. *)
 
 module Stats := Apiary_engine.Stats
 
@@ -34,42 +35,52 @@ type instrument =
   | Gauge of Stats.Gauge.t
   | Histogram of Stats.Histogram.t
 
-val counter : string -> Stats.Counter.t
+type t
+
+val create : unit -> t
+(** An empty registry, attached nowhere. *)
+
+val counter : t -> string -> Stats.Counter.t
 (** Get or create the named counter. Raises [Invalid_argument] if the
     name is already bound to a different instrument kind. *)
 
-val gauge : string -> Stats.Gauge.t
-val histogram : string -> Stats.Histogram.t
+val gauge : t -> string -> Stats.Gauge.t
+val histogram : t -> string -> Stats.Histogram.t
 
-val register : string -> instrument -> unit
+val register : t -> string -> instrument -> unit
 (** Adopt an existing instrument (e.g. a client's latency histogram)
     under [name], replacing any previous binding. *)
 
-val add_sampler : name:string -> (unit -> unit) -> unit
-(** Install (or replace) a named pull hook, run by {!sample} in
-    alphabetical name order. *)
+val find : t -> string -> instrument option
+(** The instrument bound to [name], without creating one. *)
 
-val sample : unit -> unit
-(** Run all samplers (also done by {!snapshot}). *)
+val add_sampler : t -> name:string -> (unit -> unit) -> unit
+(** Install (or replace) a named pull hook, run by {!harvest}.
+    Samplers only set their own instruments, so their order is free. *)
+
+val add_int_sampler : t -> name:string -> (string * (unit -> int)) list -> unit
+(** {!add_sampler} for integer state: resolve one gauge per
+    [(gauge name, reader)] now, and set each from its reader on every
+    pull. *)
+
+val harvest : t -> (string * instrument) list
+(** Run the samplers of [t] and of every registry attached below it,
+    then return all their instruments sorted by name. Raises
+    [Invalid_argument] if two of those registries bind one name. *)
+
+val reset : t -> unit
+(** Reset every instrument of [t] and of the registries attached below
+    it (samplers are kept). *)
+
+val attach : ?parent:t -> name:string -> t -> unit
+(** Attach an owner's registry under [parent] (default: the root),
+    replacing whatever was attached there under [name]. *)
 
 val snapshot : unit -> (string * instrument) list
-(** Pull samplers, then return every instrument sorted by name. *)
-
-val sample_prefix : string -> unit
-(** Run only the samplers whose name starts with the prefix — what a
-    per-board agent uses so harvesting [b2.*] never executes another
-    board's pull hooks (which would cross partition boundaries under a
-    parallel engine). *)
-
-val snapshot_prefix : string -> (string * instrument) list
-(** {!sample_prefix}, then the instruments under that prefix, sorted.
-    Note samplers and the instruments they fill share the dotted-name
-    prefix convention ([b<id>.], [rack.]) by construction. *)
-
-val reset : unit -> unit
-(** Reset every owned instrument (counters, gauges and histograms alike;
-    samplers are kept). *)
+(** {!harvest} of the root: every attached owner's instruments plus the
+    built-ins, sorted by name (so rendering it is deterministic). *)
 
 val clear : unit -> unit
-(** Drop all instruments and samplers — between unrelated runs. The
-    built-in [obs.span] and [obs.prof] samplers are re-installed. *)
+(** Detach every registry and drop the root's own instruments — between
+    unrelated runs. The built-in [obs.span] and [obs.prof] samplers are
+    re-installed. *)

@@ -202,7 +202,8 @@ let decide t ~kind ~tenant ?(board = -1) ?(src = -1) note =
     { d_cycle = now; d_kind = kind; d_tenant = tenant; d_board = board;
       d_src = src; d_note = note }
     :: t.log;
-  Stats.Counter.incr (Registry.counter ("sched." ^ kind));
+  Stats.Counter.incr
+    (Registry.counter (Cluster.registry t.cluster) ("sched." ^ kind));
   if Span.on () then
     Span.instant ~board:(-1)
       ~args:
@@ -372,7 +373,8 @@ let autoscale_tenant t ten =
       if ok_pct < t.cfg.slo_target_pct then begin
         ten.bad_epochs <- ten.bad_epochs + 1;
         t.n_slo_violations <- t.n_slo_violations + 1;
-        Stats.Counter.incr (Registry.counter "sched.slo_violation")
+        Stats.Counter.incr
+          (Registry.counter (Cluster.registry t.cluster) "sched.slo_violation")
       end
       else ten.bad_epochs <- 0;
       if d_ops * 100 > t.cfg.hi_util_pct * cap * n_serving then
@@ -533,7 +535,7 @@ let handle_board_up t _b =
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane
 
-   Board side: a Registry sampler under the board's [b<id>.] prefix,
+   Board side: a sampler in the board's own registry ([b<id>.sched.*]),
    which the board's push agent runs at every harvest. It publishes the
    stat service's cumulative per-tile message counts and the Health
    layer's congestion-alarm count as gauges; gauges are absolute, so a
@@ -553,21 +555,19 @@ let arm_board_sampler i nd =
   Health.on_alarm (Health.create kernel) (function
     | Health.Congested_router _ -> incr congestion
     | Health.Stuck_tile _ -> ());
-  (* Looked up once: a Registry.clear drops this sampler along with
-     them, so the handles never outlive their registration. *)
-  let alarms_g = Registry.gauge (gauge_name i "congestion_alarms")
-  and tile_g = Array.init ntiles (fun tl -> Registry.gauge (tile_gauge i tl)) in
-  let set g v = Stats.Gauge.set g (float_of_int v) in
-  let msgs_in = function Some p -> Perf.read p Perf.msgs_in | None -> 0 in
-  Registry.add_sampler ~name:(Printf.sprintf "b%d.sched" i) (fun () ->
-      Array.iteri
-        (fun tl g -> set g (msgs_in (Statsvc.answer kernel (Statsvc.Tile tl))))
-        tile_g;
-      set alarms_g !congestion)
+  let msgs_in tl () =
+    match Statsvc.answer kernel (Statsvc.Tile tl) with
+    | Some p -> Perf.read p Perf.msgs_in
+    | None -> 0
+  in
+  Registry.add_int_sampler (Kernel.registry kernel)
+    ~name:(Printf.sprintf "b%d.sched" i)
+    ((gauge_name i "congestion_alarms", fun () -> !congestion)
+    :: List.init ntiles (fun tl -> (tile_gauge i tl, msgs_in tl)))
 
 let sample_telemetry t col =
-  let read board name =
-    Option.fold ~none:0 ~some:int_of_float (Collector.gauge col ~board name)
+  let read name =
+    Option.fold ~none:0 ~some:int_of_float (Collector.gauge col name)
   in
   Array.iter
     (fun bs ->
@@ -576,12 +576,12 @@ let sample_telemetry t col =
         bs.load <- 0;
         Array.iteri
           (fun tl last ->
-            let m = read b (tile_gauge b tl) in
+            let m = read (tile_gauge b tl) in
             bs.tile_msgs.(tl) <- m - last;
             bs.load <- bs.load + bs.tile_msgs.(tl);
             bs.last_tile.(tl) <- m)
           bs.last_tile;
-        let alarms = read b (gauge_name b "congestion_alarms") in
+        let alarms = read (gauge_name b "congestion_alarms") in
         if alarms > bs.last_alarms then bs.congested <- true;
         bs.last_alarms <- alarms
       end)
@@ -840,24 +840,31 @@ let write_slo_report t path =
   close_out oc
 
 let register_metrics t =
-  Registry.add_sampler ~name:"sched" (fun () ->
+  let reg = Cluster.registry t.cluster in
+  Registry.add_int_sampler reg ~name:"sched.load"
+    (List.map
+       (fun bs ->
+         (Printf.sprintf "sched.board%d.load" bs.b_id, fun () -> bs.load))
+       (Array.to_list t.boards));
+  (* Tenants can be added after registration: resolve each one's gauges
+     the first time the sampler sees it. *)
+  let tenant_gauges = Hashtbl.create 4 in
+  let gauges_of name =
+    let resolve w = Registry.gauge reg (Printf.sprintf "sched.%s.%s" name w) in
+    if not (Hashtbl.mem tenant_gauges name) then
+      Hashtbl.add tenant_gauges name
+        (List.map resolve [ "replicas"; "burn_fast"; "budget_pct" ]);
+    Hashtbl.find tenant_gauges name
+  in
+  Registry.add_sampler reg ~name:"sched" (fun () ->
       List.iter
         (fun ten ->
           let name = ten.spec.Placer.name in
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.%s.replicas" name))
-            (float_of_int (List.length (serving t name)));
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.%s.burn_fast" name))
-            (Slo.burn_rate ten.slo
-               ~windows:(Slo.objective ten.slo).Slo.fast_windows);
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.%s.budget_pct" name))
-            (Slo.budget_remaining_pct ten.slo))
-        t.tenants;
-      Array.iter
-        (fun bs ->
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.board%d.load" bs.b_id))
-            (float_of_int bs.load))
-        t.boards)
+          List.iter2 Stats.Gauge.set (gauges_of name)
+            [
+              float_of_int (List.length (serving t name));
+              Slo.burn_rate ten.slo
+                ~windows:(Slo.objective ten.slo).Slo.fast_windows;
+              Slo.budget_remaining_pct ten.slo;
+            ])
+        t.tenants)

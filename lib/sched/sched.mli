@@ -10,8 +10,9 @@
     All scheduler state lives on the rack controller (member 0 of a
     partitioned engine). Telemetry flows {e up} through the rack's one
     in-band transport, the {!Apiary_cluster.Collector}'s agent batches
-    on the boards' own uplinks. {!start} registers a sampler under each
-    board's [b<id>.] prefix that publishes, as gauges, the cumulative
+    on the boards' own uplinks. {!start} registers a sampler in each
+    board's own registry ({!Apiary_core.Kernel.registry}, gauges named
+    [b<id>.sched.*]) that publishes, as gauges, the cumulative
     per-tile {!Apiary_core.Statsvc} message counts and the count of
     router-congestion alarms from an {!Apiary_core.Health} watchdog per
     board. Every [report_period] the controller differences the latest
@@ -215,7 +216,8 @@ val flight : t -> Flight.t
     {!Apiary_obs.Flight.set_enabled}, like the kernels' rings. *)
 
 val register_metrics : t -> unit
-(** Install an [Apiary_obs.Registry] sampler publishing per-tenant
+(** Install a sampler in the rack's registry
+    ({!Apiary_cluster.Cluster.registry}) publishing per-tenant
     replica/burn-rate/budget gauges and per-board load gauges under
-    [sched.*] (decision counters are maintained under [sched.<kind>] as
-    they happen). *)
+    [sched.*] (decision counters are maintained there under
+    [sched.<kind>] as they happen). *)

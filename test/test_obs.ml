@@ -104,48 +104,47 @@ let test_span_capacity_drops () =
 (* Registry *)
 
 let test_registry_get_or_create () =
-  Registry.clear ();
-  let c1 = Registry.counter "a.count" in
+  let r = Registry.create () in
+  let c1 = Registry.counter r "a.count" in
   Stats.Counter.incr c1;
   Alcotest.(check bool) "same instrument back" true
-    (Registry.counter "a.count" == c1);
+    (Registry.counter r "a.count" == c1);
   Alcotest.(check int) "state survives" 1
-    (Stats.Counter.value (Registry.counter "a.count"));
-  (match Registry.gauge "a.count" with
+    (Stats.Counter.value (Registry.counter r "a.count"));
+  (match Registry.gauge r "a.count" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "kind mismatch must raise");
-  Registry.clear ()
+  | _ -> Alcotest.fail "kind mismatch must raise")
 
 let test_registry_sampler_replace () =
-  Registry.clear ();
+  let r = Registry.create () in
   let hits = ref 0 in
-  Registry.add_sampler ~name:"s" (fun () -> hits := !hits + 100);
-  Registry.add_sampler ~name:"s" (fun () -> incr hits);
-  ignore (Registry.snapshot ());
-  Alcotest.(check int) "only the replacement ran" 1 !hits;
-  Registry.clear ()
+  Registry.add_sampler r ~name:"s" (fun () -> hits := !hits + 100);
+  Registry.add_sampler r ~name:"s" (fun () -> incr hits);
+  ignore (Registry.harvest r);
+  Alcotest.(check int) "only the replacement ran" 1 !hits
 
 let test_registry_reset_resets_gauges () =
-  Registry.clear ();
-  let g = Registry.gauge "g" in
+  let r = Registry.create () in
+  let g = Registry.gauge r "g" in
   Stats.Gauge.set g 5.0;
   Stats.Gauge.set g 9.0;
-  let h = Registry.histogram "h" in
+  let h = Registry.histogram r "h" in
   Stats.Histogram.record h 42;
-  Registry.reset ();
+  Registry.reset r;
   Alcotest.(check (float 0.0)) "gauge value zeroed" 0.0 (Stats.Gauge.value g);
   Alcotest.(check int) "histogram emptied" 0 (Stats.Histogram.count h);
   (* Gauge.reset must also forget the min/max watermarks. *)
   Stats.Gauge.set g 2.0;
   Alcotest.(check (float 0.0)) "min restarts" 2.0 (Stats.Gauge.min g);
-  Alcotest.(check (float 0.0)) "max restarts" 2.0 (Stats.Gauge.max g);
-  Registry.clear ()
+  Alcotest.(check (float 0.0)) "max restarts" 2.0 (Stats.Gauge.max g)
 
 let test_registry_snapshot_sorted () =
   Registry.clear ();
-  ignore (Registry.counter "z");
-  ignore (Registry.counter "a");
-  ignore (Registry.gauge "m");
+  let r = Registry.create () in
+  ignore (Registry.counter r "z");
+  ignore (Registry.counter r "a");
+  ignore (Registry.gauge r "m");
+  Registry.attach ~name:"t" r;
   let names = List.map fst (Registry.snapshot ()) in
   (* The built-in obs.span sampler contributes its three gauges even
      after clear; everything still comes back alphabetical. *)
@@ -154,6 +153,24 @@ let test_registry_snapshot_sorted () =
       "a"; "m"; "obs.span.dropped"; "obs.span.events"; "obs.span.sampled"; "z";
     ]
     names;
+  Registry.clear ()
+
+(* One name, one instrument: two owners binding the same name is a
+   wiring bug the snapshot must refuse, not merge. *)
+let test_registry_clash_raises () =
+  Registry.clear ();
+  let a = Registry.create () and b = Registry.create () in
+  ignore (Registry.counter a "dup");
+  ignore (Registry.gauge b "dup");
+  Registry.attach ~name:"a" a;
+  Registry.attach ~name:"b" b;
+  (match Registry.snapshot () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a name bound by two owners must raise");
+  (* Attaching again under a name replaces: the clash is gone. *)
+  Registry.attach ~name:"b" (Registry.create ());
+  Alcotest.(check bool) "replaced owner no longer clashes" true
+    (List.mem_assoc "dup" (Registry.snapshot ()));
   Registry.clear ()
 
 (* ------------------------------------------------------------------ *)
@@ -217,12 +234,12 @@ let test_export_truncation_marker () =
         (contains s "{\"dropped\":\"7\"}"))
 
 let test_export_metrics_json () =
-  Registry.clear ();
-  Stats.Counter.add (Registry.counter "c") 3;
-  Stats.Gauge.set (Registry.gauge "g") 1.5;
-  Stats.Gauge.set (Registry.gauge "weird") Float.nan;
-  ignore (Registry.histogram "h");  (* empty: max must render as 0 *)
-  let s = Export.metrics_json_string (Registry.snapshot ()) in
+  let r = Registry.create () in
+  Stats.Counter.add (Registry.counter r "c") 3;
+  Stats.Gauge.set (Registry.gauge r "g") 1.5;
+  Stats.Gauge.set (Registry.gauge r "weird") Float.nan;
+  ignore (Registry.histogram r "h");  (* empty: max must render as 0 *)
+  let s = Export.metrics_json_string (Registry.harvest r) in
   let has sub =
     let n = String.length sub in
     let rec go i =
@@ -233,8 +250,7 @@ let test_export_metrics_json () =
   has "\"c\":{\"type\":\"counter\",\"value\":3}";
   has "\"value\":1.5";
   has "\"count\":0";
-  has "null";  (* NaN gauge must not emit invalid JSON *)
-  Registry.clear ()
+  has "null"  (* NaN gauge must not emit invalid JSON *)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: one cross-board KV call as a corr-keyed span tree *)
@@ -653,6 +669,8 @@ let () =
           Alcotest.test_case "reset (incl. gauges)" `Quick
             test_registry_reset_resets_gauges;
           Alcotest.test_case "snapshot sorted" `Quick test_registry_snapshot_sorted;
+          Alcotest.test_case "two owners, one name raises" `Quick
+            test_registry_clash_raises;
         ] );
       ( "export",
         [

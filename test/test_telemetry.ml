@@ -77,8 +77,8 @@ let test_wire_rejects_garbage () =
    balance, and the next (accepted) flush ships exactly the survivors
    with the drop count riding the header. *)
 let test_agent_drop_oldest () =
-  Registry.clear ();
   let sim = Sim.create () in
+  let registry = Registry.create () in
   let sent = ref [] in
   let accept = ref false in
   let send payload =
@@ -90,10 +90,10 @@ let test_agent_drop_oldest () =
   in
   let a =
     Agent.create ~period:100 ~queue_cap:4 ~batch_bytes:4_096 ~sim ~board:0
-      ~prefix:"t9." ~send ()
+      ~registry ~send ()
   in
   for i = 0 to 7 do
-    Stats.Counter.add (Registry.counter (Printf.sprintf "t9.c%d" i)) (i + 1)
+    Stats.Counter.add (Registry.counter registry (Printf.sprintf "t9.c%d" i)) (i + 1)
   done;
   Agent.tick a ~now:100;
   Alcotest.(check int) "emitted all 8" 8 (Agent.emitted a);
@@ -122,8 +122,42 @@ let test_agent_drop_oldest () =
       Alcotest.(check (list string)) "newest records survive"
         [ "t9.c4"; "t9.c5"; "t9.c6"; "t9.c7" ] names)
   | l -> Alcotest.failf "expected exactly one batch, got %d" (List.length l));
-  Agent.detach a;
-  Registry.clear ()
+  Agent.detach a
+
+let counter_names payloads =
+  List.concat_map
+    (fun p ->
+      match Wire.decode_batch p with
+      | None -> Alcotest.fail "shipped batch must decode"
+      | Some b ->
+        List.filter_map
+          (function Wire.Counter_delta (n, _) -> Some n | _ -> None)
+          b.Wire.b_records)
+    (List.rev payloads)
+
+(* Ownership, not naming, decides what an agent ships: an instrument in
+   board 1's registry never leaves through board 0's agent, even when
+   its name claims board 0. *)
+let test_agent_ships_only_its_registry () =
+  let sim = Sim.create () in
+  let reg0 = Registry.create () and reg1 = Registry.create () in
+  let sent0 = ref [] and sent1 = ref [] in
+  let agent board registry sent =
+    Agent.create ~period:100 ~sim ~board ~registry
+      ~send:(fun p -> sent := p :: !sent; true)
+      ()
+  in
+  let a0 = agent 0 reg0 sent0 and a1 = agent 1 reg1 sent1 in
+  Stats.Counter.add (Registry.counter reg0 "b0.own") 1;
+  Stats.Counter.add (Registry.counter reg1 "b0.spoof") 2;
+  Agent.tick a0 ~now:100;
+  Agent.tick a1 ~now:100;
+  Alcotest.(check (list string)) "board 0 ships only its own registry"
+    [ "b0.own" ] (counter_names !sent0);
+  Alcotest.(check (list string)) "board 1 ships what it owns"
+    [ "b0.spoof" ] (counter_names !sent1);
+  Agent.detach a0;
+  Agent.detach a1
 
 (* ------------------------------------------------------------------ *)
 (* Collector conservation under a port kill *)
@@ -235,6 +269,66 @@ let test_idle_board_heartbeats () =
   Registry.clear ()
 
 (* ------------------------------------------------------------------ *)
+(* Registry ownership at rack scale *)
+
+let rack ~boards =
+  let eng = Cluster.make_engine ~boards () in
+  let cluster =
+    Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:1
+  in
+  Cluster.register_metrics cluster;
+  (eng, cluster)
+
+let snapshot_names () = List.map fst (Registry.snapshot ())
+
+(* [collected.b<i>.b<j>.…]: a board prefix applied twice. *)
+let doubly_prefixed name =
+  let board s =
+    String.length s > 1
+    && s.[0] = 'b'
+    && String.for_all
+         (fun c -> c >= '0' && c <= '9')
+         (String.sub s 1 (String.length s - 1))
+  in
+  match String.split_on_char '.' name with
+  | "collected" :: a :: b :: _ -> board a && board b
+  | _ -> false
+
+let test_collected_names () =
+  Registry.clear ();
+  let eng, cluster = rack ~boards:2 in
+  let col = Collector.create ~agent_period:500 ~agent_until:8_000 cluster in
+  Par_sim.run_until eng 10_000;
+  Par_sim.shutdown eng;
+  Collector.detach col;
+  let names = snapshot_names () in
+  Alcotest.(check bool) "collected.b1.kernel.msgs_out mirrored" true
+    (List.mem "collected.b1.kernel.msgs_out" names);
+  Alcotest.(check (list string)) "no doubled board prefix" []
+    (List.filter doubly_prefixed names);
+  Registry.clear ()
+
+(* A rebuilt rack replaces the old one's instruments, with no clear in
+   between: the snapshot is exactly what the new rack alone shows. *)
+let test_rebuilt_rack_replaces () =
+  Registry.clear ();
+  ignore (rack ~boards:4);
+  Alcotest.(check bool) "first rack's b3 present" true
+    (List.mem "b3.kernel.msgs_out" (snapshot_names ()));
+  ignore (rack ~boards:2);
+  let after = snapshot_names () in
+  Registry.clear ();
+  ignore (rack ~boards:2);
+  let alone = snapshot_names () in
+  Alcotest.(check (list string)) "only the second rack's names" alone after;
+  Alcotest.(check bool) "no b2.*/b3.* left behind" false
+    (List.exists
+       (fun n ->
+         String.starts_with ~prefix:"b2." n || String.starts_with ~prefix:"b3." n)
+       after);
+  Registry.clear ()
+
+(* ------------------------------------------------------------------ *)
 (* Env fallback *)
 
 let test_env_fallback () =
@@ -264,6 +358,8 @@ let () =
         [
           Alcotest.test_case "drop-oldest accounting" `Quick
             test_agent_drop_oldest;
+          Alcotest.test_case "ships only its board's registry" `Quick
+            test_agent_ships_only_its_registry;
         ] );
       ( "collector",
         [
@@ -271,6 +367,10 @@ let () =
             test_collector_conservation;
           Alcotest.test_case "idle boards heartbeat, never declared down"
             `Quick test_idle_board_heartbeats;
+          Alcotest.test_case "mirrors named collected.<name>" `Quick
+            test_collected_names;
+          Alcotest.test_case "rebuilt rack replaces the old" `Quick
+            test_rebuilt_rack_replaces;
         ] );
       ( "env", [ Alcotest.test_case "tolerant fallback" `Quick test_env_fallback ] );
     ]
